@@ -70,6 +70,20 @@ def _validate_scale(scale: float) -> None:
         )
 
 
+#: Smallest accepted value of each integer option the subcommands share.
+COUNT_FLOORS = {"threads": 1, "period": 1, "workers": 1, "top": 0}
+
+
+def validate_counts(args: argparse.Namespace) -> None:
+    """Reject out-of-range integer options (those ``args`` has and set)
+    with a one-line usage error rather than a silent default or a deep
+    traceback."""
+    for name, floor in COUNT_FLOORS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < floor:
+            raise UsageError(f"--{name} must be >= {floor}, got {value}")
+
+
 def _scaled(value: int, scale: float, floor: int) -> int:
     return max(int(value * scale), floor)
 
@@ -273,10 +287,11 @@ def _run(args: argparse.Namespace) -> int:
     log = obs.get_logger("cli")
     default_preset, default_threads, default_mech = WORKLOADS[args.workload]
     build = _builders(args.scale)[args.workload]
+    validate_counts(args)
     preset_name = args.machine or default_preset
-    threads = args.threads or default_threads
+    threads = default_threads if args.threads is None else args.threads
     mech_name = args.mechanism or default_mech
-    period = args.period or ANALYSIS_PERIODS[mech_name]
+    period = ANALYSIS_PERIODS[mech_name] if args.period is None else args.period
     binding = BindingPolicy[args.binding.upper()]
     machine_factory = presets.PRESETS.get(preset_name)
     if machine_factory is None:

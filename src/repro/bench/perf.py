@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -948,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--check", action="store_true",
                         help="CI smoke mode: scaled-down inputs "
                         f"(scale {SMOKE_SCALE}) compared against "
-                        f"{SMOKE_BASELINE} at a {SMOKE_THRESHOLD:.0%} "
+                        f"{SMOKE_BASELINE} at a {SMOKE_THRESHOLD * 100:.0f}%% "
                         "threshold; exits non-zero on regression")
     parser.add_argument("--output", default=None,
                         help="where to write the results JSON (default: "
@@ -1016,7 +1017,15 @@ def _load_baseline(args, config: dict) -> tuple[dict | None, str | None]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.__main__ import validate_counts
+    from repro.errors import UsageError
+
     args = build_parser().parse_args(argv)
+    try:
+        validate_counts(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.output is None:
         args.output = SMOKE_OUTPUT if args.check else DEFAULT_OUTPUT
     if args.scale is None:

@@ -98,7 +98,7 @@ class ChunkClassification:
 
 @dataclass
 class ChunkSummary:
-    """Output of :meth:`CacheHierarchy.classify_summary` for one chunk.
+    """Large-chunk classification of one chunk (no per-access levels).
 
     ``fetch`` marks the accesses that fetch a new cache line; they are all
     serviced at ``fetch_level`` while every other access hits L1, so the
@@ -180,8 +180,16 @@ def is_sequential(addrs: np.ndarray) -> bool:
     """Detect a prefetchable (mostly small-forward-stride) access stream."""
     if addrs.size < 2:
         return True
-    deltas = np.diff(addrs)
-    ok = (deltas >= 0) & (deltas <= SEQUENTIAL_STRIDE_LIMIT)
+    return _sequential_deltas(np.diff(np.asarray(addrs, dtype=np.int64)))
+
+
+def _sequential_deltas(deltas: np.ndarray) -> bool:
+    """:func:`is_sequential` on an int64 address-delta array.
+
+    Viewed as unsigned, a negative delta is huge, so one compare tests
+    ``0 <= delta <= SEQUENTIAL_STRIDE_LIMIT``.
+    """
+    ok = deltas.view(np.uint64) <= SEQUENTIAL_STRIDE_LIMIT
     return bool(np.count_nonzero(ok) >= SEQUENTIAL_FRACTION * deltas.size)
 
 
@@ -382,62 +390,41 @@ class CacheHierarchy:
         levels = np.full(addrs.shape, LEVEL_L1, dtype=np.uint8)
         if addrs.size == 0:
             return ChunkClassification(levels, True, 0)
-
-        lines = addrs // self.config.line_size
-        fetch = first_occurrence_mask(lines)
-        footprint = int(np.count_nonzero(fetch)) * self.config.line_size
-        levels[fetch] = self._fetch_level(cpu, seg_id, int(addrs[0]), footprint)
-
-        return ChunkClassification(
-            levels=levels,
-            sequential=is_sequential(addrs),
-            footprint_bytes=footprint,
-        )
-
-    def classify_summary(
-        self,
-        addrs: np.ndarray,
-        cpu: int,
-        seg_id: int,
-    ) -> ChunkSummary:
-        """Like :meth:`classify`, without materializing per-access levels.
-
-        Returns the line-fetch mask and the scalar service level of those
-        fetches (all other accesses hit L1). Monitor-less engine runs only
-        need aggregate cycle/traffic sums, so they use this summary and
-        touch per-access data solely on the fetch subset; reuse-distance
-        state advances exactly as :meth:`classify` does.
-        """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        if addrs.size == 0:
-            return ChunkSummary(np.empty(0, dtype=bool), LEVEL_L1, True, 0)
-        fetch, footprint, sequential = self.chunk_fetch_products(addrs)
-        level = self.chunk_fetch_level(cpu, seg_id, int(addrs[0]), footprint)
-        return ChunkSummary(fetch, level, sequential, footprint)
+        _, fidx, sequential = self.chunk_fetch_products(addrs)
+        footprint = fidx.size * self.config.line_size
+        levels[fidx] = self._fetch_level(cpu, seg_id, int(addrs[0]), footprint)
+        return ChunkClassification(levels, sequential, footprint)
 
     def chunk_fetch_products(
         self, addrs: np.ndarray
-    ) -> tuple[np.ndarray, int, bool]:
-        """Pure half of :meth:`classify_summary` for one non-empty chunk.
+    ) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Fused per-chunk classify kernel for one non-empty int64 chunk.
 
-        Returns ``(fetch_mask, footprint_bytes, sequential)`` — a pure
-        function of the addresses, cacheable across iterations; the
-        reuse-distance half is :meth:`chunk_fetch_level`.
+        Returns ``(fetch_mask, fetch_idx, sequential)``; the footprint is
+        ``fetch_idx.size * line_size``. A pure function of the addresses,
+        so the memo layer caches it across iterations; the stateful
+        reuse-distance half is :meth:`step_fetch_levels`.
+
+        One delta array serves the sequential-stride count and the
+        sortedness test. On a sorted chunk with a power-of-two line size
+        two neighbours lie in different lines exactly when their XOR
+        (as unsigned) reaches the line size, so line numbers are never
+        formed; other chunks take :func:`first_occurrence_mask` on them.
         """
-        lines = addrs // self.config.line_size
-        fetch = first_occurrence_mask(lines)
-        footprint = int(np.count_nonzero(fetch)) * self.config.line_size
-        return fetch, footprint, is_sequential(addrs)
-
-    def chunk_fetch_level(
-        self, cpu: int, seg_id: int, first_addr: int, footprint: int
-    ) -> int:
-        """Stateful half of :meth:`classify_summary`: one reuse lookup.
-
-        Advances the streaming state exactly as the per-chunk classify
-        calls would; the memo layer calls this live every iteration.
-        """
-        return self._fetch_level(cpu, seg_id, first_addr, footprint)
+        n = addrs.size
+        if n < 2:
+            return np.ones(n, dtype=bool), np.zeros(n, dtype=np.intp), True
+        d = np.subtract(addrs[1:], addrs[:-1])
+        sequential = _sequential_deltas(d)
+        line = self.config.line_size
+        if not line & (line - 1) and d.min() >= 0:
+            fetch = np.empty(n, dtype=bool)
+            fetch[0] = True
+            xor = np.bitwise_xor(addrs[1:], addrs[:-1], out=d)
+            np.greater_equal(xor.view(np.uint64), line, out=fetch[1:])
+        else:
+            fetch = first_occurrence_mask(addrs // line)
+        return fetch, np.flatnonzero(fetch), sequential
 
     def step_fetch_products(
         self,

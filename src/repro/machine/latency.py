@@ -71,21 +71,35 @@ class LatencyModel:
         """Base remote/local DRAM latency ratio (paper: > 1.3)."""
         return self.dram_remote / self.dram_local
 
-    def _demand_latency(
-        self,
-        target_domains: np.ndarray,
-        accessor_domain: int,
-        topology: NumaTopology,
-        inflation: np.ndarray,
-    ) -> np.ndarray:
-        """Full (exposed) DRAM latency per access given page placement."""
-        tgt = np.asarray(target_domains)
-        local = tgt == accessor_domain
+    def dram_tables(
+        self, topology: NumaTopology, inflation: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-(accessor, target) DRAM latency tables for one step.
+
+        A DRAM fetch's full (exposed) latency and, for sequential
+        chunks, its exposure fraction depend only on the accessor
+        domain, the target domain, the step's inflation and whether the
+        segment is interleaved. Returns ``(demand, exposure)``:
+        ``demand[acc, tgt]`` in cycles and ``exposure[interleaved, acc,
+        tgt]``; every latency path gathers from them.
+        """
+        infl = np.asarray(inflation)  # broadcasts along the target axis
+        local = np.eye(topology.n_domains, dtype=bool)
         base = np.where(local, self.dram_local, self.dram_remote)
-        dist = topology.distances[accessor_domain][tgt]
-        hops = np.maximum(dist - 10, 0) / 10.0  # SLIT units above local
+        hops = np.maximum(topology.distances - 10, 0) / 10.0  # SLIT units above local
         base = base + hops * self.hop_cost * 10.0
-        return base * np.asarray(inflation)[tgt]
+        demand = base * infl
+        # Prefetch absorption, degraded by the target domain's contention,
+        # by the longer round trip of remote streams, and by page
+        # interleaving's stream restarts.
+        remote_scale = np.where(local, 1.0, self.remote_exposure_factor)
+        exposure = np.stack([
+            np.minimum(
+                1.0, self.seq_exposure * infl * remote_scale * stream_scale
+            )
+            for stream_scale in (1.0, self.interleave_stream_penalty)
+        ])
+        return demand, exposure
 
     def access_latency(
         self,
@@ -115,73 +129,40 @@ class LatencyModel:
         lat[levels == LEVEL_L1] = self.l1
         lat[levels == LEVEL_L2] = self.l2
         lat[levels == LEVEL_L3] = self.l3
-
         dram_mask = levels == LEVEL_DRAM
-        n_dram = int(np.count_nonzero(dram_mask))
-        if n_dram == 0:
-            return lat
-
-        tgt = np.asarray(target_domains)[dram_mask]
-        demand = self._demand_latency(tgt, accessor_domain, topology, inflation)
-        if not sequential:
-            lat[dram_mask] = demand
-            return lat
-
-        # Prefetch absorption, degraded by the target domain's contention
-        # and by the longer round trip of remote streams.
-        remote_scale = np.where(
-            tgt == accessor_domain, 1.0, self.remote_exposure_factor
-        )
-        stream_scale = self.interleave_stream_penalty if interleaved else 1.0
-        exposure = np.minimum(
-            1.0,
-            self.seq_exposure
-            * np.asarray(inflation)[tgt]
-            * remote_scale
-            * stream_scale,
-        )
-        # Deterministic even spacing: the k-th fetch to a given stream is
-        # exposed when its index crosses the next exposure quantum.
-        idx = np.arange(n_dram, dtype=np.float64)
-        exposed = np.floor((idx + 1) * exposure) > np.floor(idx * exposure)
-        lat[dram_mask] = np.where(exposed, demand, self.prefetched_latency)
+        if np.any(dram_mask):
+            lat[dram_mask] = self.dram_fetch_latencies(
+                np.asarray(target_domains)[dram_mask],
+                accessor_domain,
+                self.dram_tables(topology, inflation),
+                sequential=sequential,
+                interleaved=interleaved,
+            )
         return lat
 
     def dram_fetch_latencies(
         self,
         target_domains: np.ndarray,
         accessor_domain: int,
-        topology: NumaTopology,
-        inflation: np.ndarray,
+        tables: tuple[np.ndarray, np.ndarray],
         *,
         sequential: bool = False,
         interleaved: bool = False,
     ) -> np.ndarray:
         """Latency of one chunk's DRAM line fetches, in fetch order.
 
-        Compressed form of :meth:`access_latency` for chunks whose fetch
-        level is DRAM: ``target_domains`` holds only the fetching
-        accesses' page owners, so prefetch-exposure spacing runs on the
-        fetch ordinals directly. Values match the DRAM entries
-        :meth:`access_latency` would produce for the same chunk.
+        ``target_domains`` holds only the fetching accesses' page owners
+        and ``tables`` is the step's :meth:`dram_tables`. In a sequential
+        chunk the k-th fetch is exposed (full latency) when its ordinal
+        crosses the next exposure quantum — deterministic even spacing —
+        and every other fetch costs ``prefetched_latency``.
         """
-        demand = self._demand_latency(
-            target_domains, accessor_domain, topology, inflation
-        )
+        demand_t, exposure_t = tables
+        tgt = np.asarray(target_domains)
+        demand = demand_t[accessor_domain][tgt]
         if not sequential:
             return demand
-        tgt = np.asarray(target_domains)
-        remote_scale = np.where(
-            tgt == accessor_domain, 1.0, self.remote_exposure_factor
-        )
-        stream_scale = self.interleave_stream_penalty if interleaved else 1.0
-        exposure = np.minimum(
-            1.0,
-            self.seq_exposure
-            * np.asarray(inflation)[tgt]
-            * remote_scale
-            * stream_scale,
-        )
+        exposure = exposure_t[int(interleaved), accessor_domain][tgt]
         idx = np.arange(tgt.size, dtype=np.float64)
         exposed = np.floor((idx + 1) * exposure) > np.floor(idx * exposure)
         return np.where(exposed, demand, self.prefetched_latency)
@@ -218,16 +199,11 @@ class LatencyModel:
         if not np.any(dram_mask):
             return lat
 
+        demand_t, exposure_t = self.dram_tables(topology, inflation)
         acc_rep = np.repeat(np.asarray(accessor_domains, dtype=np.int64), lengths)
         tgt = np.asarray(target_domains)[dram_mask]
         acc = acc_rep[dram_mask]
-        local = tgt == acc
-        base = np.where(local, self.dram_local, self.dram_remote)
-        dist = topology.distances[acc, tgt]
-        hops = np.maximum(dist - 10, 0) / 10.0  # SLIT units above local
-        base = base + hops * self.hop_cost * 10.0
-        infl = np.asarray(inflation)
-        demand = base * infl[tgt]
+        demand = demand_t[acc, tgt]
 
         seq_acc = np.repeat(np.asarray(sequential, dtype=bool), lengths)[dram_mask]
         if not np.any(seq_acc):
@@ -240,15 +216,8 @@ class LatencyModel:
         idx = (excl - np.repeat(excl[starts[:-1]], lengths))[dram_mask].astype(
             np.float64
         )
-        remote_scale = np.where(local, 1.0, self.remote_exposure_factor)
-        stream_scale = np.where(
-            np.repeat(np.asarray(interleaved, dtype=bool), lengths)[dram_mask],
-            self.interleave_stream_penalty,
-            1.0,
-        )
-        exposure = np.minimum(
-            1.0, self.seq_exposure * infl[tgt] * remote_scale * stream_scale
-        )
+        inter = np.repeat(np.asarray(interleaved, dtype=np.intp), lengths)
+        exposure = exposure_t[inter[dram_mask], acc, tgt]
         exposed = np.floor((idx + 1) * exposure) > np.floor(idx * exposure)
         lat[dram_mask] = np.where(
             seq_acc, np.where(exposed, demand, self.prefetched_latency), demand

@@ -50,6 +50,10 @@ class Machine:
             raise ValueError(f"clock rate must be positive, got {self.ghz}")
         if self.base_cpi <= 0:
             raise ValueError(f"base CPI must be positive, got {self.base_cpi}")
+        if self.page_size <= 0 or self.page_size & (self.page_size - 1):
+            raise ValueError(
+                f"page size must be a power of two, got {self.page_size}"
+            )
         self.frames = FrameManager(self.topology, self.frames_per_domain)
         self.page_table = PageTable(self.topology, self.frames, self.page_size)
         self.cache = CacheHierarchy(self.cache_config)

@@ -532,12 +532,15 @@ def main(argv: list[str] | None = None) -> int:
     import sys
 
     from repro import presets
-    from repro.__main__ import ANALYSIS_PERIODS, WORKLOADS, _builders
+    from repro.__main__ import (
+        ANALYSIS_PERIODS, WORKLOADS, _builders, validate_counts,
+    )
     from repro.errors import NumaProfError, UsageError
 
     args = build_parser().parse_args(argv)
     obs.configure_logging(verbosity=args.verbose, quiet=args.quiet)
     try:
+        validate_counts(args)
         default_preset, default_threads, default_mech = WORKLOADS[args.workload]
         preset_name = args.machine or default_preset
         mech_name = args.mechanism or default_mech
@@ -554,10 +557,15 @@ def main(argv: list[str] | None = None) -> int:
         cfg = AutotuneConfig(
             machine_factory=machine_factory,
             program_factory=_builders(args.scale)[args.workload],
-            n_threads=args.threads or default_threads,
+            n_threads=(
+                default_threads if args.threads is None else args.threads
+            ),
             binding=BindingPolicy[args.binding.upper()],
             mechanism_name=mech_name,
-            period=args.period or ANALYSIS_PERIODS[mech_name],
+            period=(
+                ANALYSIS_PERIODS[mech_name] if args.period is None
+                else args.period
+            ),
             mechanism_kwargs={"max_rate": 2e6} if mech_name == "MRK" else {},
             seed=args.seed,
             n_workers=args.workers,

@@ -25,7 +25,9 @@ import numpy as np
 
 from repro import obs
 from repro.errors import AllocationError, ProgramError
-from repro.machine.cache import LEVEL_DRAM, LEVEL_L1, LEVEL_L2, ScratchPool
+from repro.machine.cache import (
+    LEVEL_DRAM, LEVEL_L1, LEVEL_L2, ChunkSummary, ScratchPool,
+)
 from repro.machine.machine import Machine
 from repro.machine.pagetable import PlacementPolicy
 from repro.units import fast_unique
@@ -282,8 +284,7 @@ class _StepMem:
     __slots__ = (
         "n_active", "mem_idx", "mem", "trap_costs",
         "lengths", "starts", "interleaved", "batched",
-        "cls", "targets_cat", "dram_cat",
-        "summaries", "fetch_idx", "dram_targets",
+        "cls", "targets_cat", "dram_cat", "summary_var",
         "step_requests",
         "lat_sums", "dram", "remote_dram", "traffic",
         "chunk_levels", "chunk_targets", "chunk_seq",
@@ -1350,7 +1351,6 @@ class ExecutionEngine:
         values the per-chunk concatenation would produce, read in place.
         """
         machine = self.machine
-        page_size = machine.page_size
         n_domains = machine.n_domains
         n_mem = len(st.mem_idx)
         if rec is not None and n_mem:
@@ -1396,26 +1396,14 @@ class ExecutionEngine:
             # Large-chunk summary path: classify down to the line-fetch
             # mask and touch per-access data only on the fetch subset
             # (every non-fetch access hits L1, and only DRAM-level
-            # fetches have NUMA-relevant placement). Monitors see these
-            # chunks through lazy views that reconstruct full per-access
-            # arrays on demand.
-            st.summaries = [None] * n_mem
-            st.dram_targets = [None] * n_mem
-            st.fetch_idx = [None] * n_mem
-            for k, (t, c) in enumerate(mem):
-                seg = c.var.segment
-                summ = machine.cache.classify_summary(
-                    c.addrs, t.cpu, seg.seg_id
-                )
-                st.summaries[k] = summ
-                if summ.fetch_level == LEVEL_DRAM:
-                    fidx = np.nonzero(summ.fetch)[0]
-                    tgt = seg.domains[
-                        c.addrs[fidx] // page_size - seg.start_page
-                    ]
-                    st.fetch_idx[k] = fidx
-                    st.dram_targets[k] = tgt
-                    st.step_requests += np.bincount(tgt, minlength=n_domains)
+            # fetches have NUMA-relevant placement). The memo's builders
+            # run uncached; monitors see these chunks through lazy views
+            # that reconstruct full per-access arrays on demand.
+            pure = self._build_pure(step, st, False)
+            var = st.summary_var = self._build_summary_variant(
+                pure, self._fetch_levels(pure)
+            )
+            st.step_requests = var.step_requests
 
     def _classify_memo(
         self,
@@ -1451,19 +1439,7 @@ class ExecutionEngine:
         st.starts = pure.starts
         st.interleaved = pure.interleaved
         st.batched = pure.batched
-        cache = machine.cache
-        if pure.batched:
-            fetch_levels = cache.step_fetch_levels(
-                pure.cpus, pure.seg_ids, pure.first_addrs, pure.footprints
-            )
-        else:
-            n_mem = len(pure.mem)
-            fetch_levels = np.empty(n_mem, dtype=np.uint8)
-            for k in range(n_mem):
-                fetch_levels[k] = cache.chunk_fetch_level(
-                    pure.cpus[k], pure.seg_ids[k],
-                    pure.chunk_first[k], pure.chunk_fp[k],
-                )
+        fetch_levels = self._fetch_levels(pure)
         ckey = (machine.page_table.epoch, fetch_levels.tobytes())
         if self._phase_sig is not None:
             # The iteration's phase signature is the sequence of memo
@@ -1483,6 +1459,12 @@ class ExecutionEngine:
             memo.hit()
         st.memo_var = var
         st.step_requests = var.step_requests
+
+    def _fetch_levels(self, pure: PureStep) -> np.ndarray:
+        """Live reuse-distance lookups of one step's chunks, in order."""
+        return self.machine.cache.step_fetch_levels(
+            pure.cpus, pure.seg_ids, pure.first_addrs, pure.footprints
+        )
 
     def _build_pure(
         self,
@@ -1536,20 +1518,22 @@ class ExecutionEngine:
                 lengths, starts, pure.acc_domains,
             )
         else:
+            # Per-chunk fused kernel: a step-wide concatenation of these
+            # large chunks falls out of cache and runs slower.
+            cache = machine.cache
+            line_size = cache.config.line_size
             pure.chunk_fetch = [None] * n_mem
-            pure.chunk_seq_flags = [True] * n_mem
-            pure.chunk_fp = [0] * n_mem
-            pure.chunk_first = [0] * n_mem
+            pure.sequential = [True] * n_mem
+            pure.footprints = [0] * n_mem
+            pure.first_addrs = [0] * n_mem
             pure.chunk_fidx = [None] * n_mem
             for k, (t, c) in enumerate(mem):
-                fetch, footprint, seq = machine.cache.chunk_fetch_products(
-                    c.addrs
-                )
+                fetch, fidx, seq = cache.chunk_fetch_products(c.addrs)
                 pure.chunk_fetch[k] = fetch
-                pure.chunk_seq_flags[k] = seq
-                pure.chunk_fp[k] = footprint
-                pure.chunk_first[k] = int(c.addrs[0])
-                pure.chunk_fidx[k] = np.nonzero(fetch)[0]
+                pure.chunk_fidx[k] = fidx
+                pure.sequential[k] = seq
+                pure.footprints[k] = fidx.size * line_size
+                pure.first_addrs[k] = int(c.addrs[0])
             pure.nbytes = _nbytes(pure.chunk_fetch, pure.chunk_fidx)
         return pure
 
@@ -1626,9 +1610,8 @@ class ExecutionEngine:
     ) -> ClassifyVariant:
         """Placement-dependent products for one summary-path variant."""
         machine = self.machine
-        page_size = machine.page_size
+        page_shift = machine.page_size.bit_length() - 1
         n_domains = machine.n_domains
-        line_size = machine.cache.config.line_size
         var = ClassifyVariant()
         n_mem = len(pure.mem)
         var.summaries = [None] * n_mem
@@ -1638,27 +1621,69 @@ class ExecutionEngine:
         var.dram = 0
         var.remote_dram = 0
         var.traffic = np.zeros((n_domains, n_domains), dtype=np.int64)
-        from repro.machine.cache import ChunkSummary
-
         for k, (t, c) in enumerate(pure.mem):
-            summ = ChunkSummary(
+            summ = var.summaries[k] = ChunkSummary(
                 pure.chunk_fetch[k], int(fetch_levels[k]),
-                pure.chunk_seq_flags[k], pure.chunk_fp[k],
+                pure.sequential[k], pure.footprints[k],
             )
-            var.summaries[k] = summ
             if summ.fetch_level == LEVEL_DRAM:
-                fidx = pure.chunk_fidx[k]
+                fidx = var.fidx[k] = pure.chunk_fidx[k]
                 seg = c.var.segment
-                tgt = seg.domains[c.addrs[fidx] // page_size - seg.start_page]
-                var.fidx[k] = fidx
-                var.dram_targets[k] = tgt
-                var.step_requests += np.bincount(tgt, minlength=n_domains)
-                nf = summ.footprint_bytes // line_size
-                var.dram += nf
-                var.remote_dram += int(np.count_nonzero(tgt != t.domain))
-                var.traffic[t.domain] += np.bincount(tgt, minlength=n_domains)
+                tgt = var.dram_targets[k] = seg.domains[
+                    (c.addrs[fidx] >> page_shift) - seg.start_page
+                ]
+                # One histogram serves requests, traffic and the remote
+                # count (every fetch not to the accessor's own domain).
+                hist = np.bincount(tgt, minlength=n_domains)
+                var.step_requests += hist
+                var.traffic[t.domain] += hist
+                var.dram += fidx.size
+                var.remote_dram += fidx.size - int(hist[t.domain])
         var.nbytes = _nbytes(var.dram_targets, var.fidx) + var.traffic.nbytes
         return var
+
+    def _summary_latency(
+        self,
+        st: _StepMem,
+        var: ClassifyVariant,
+        inflation: np.ndarray,
+        lat_sums: list[float],
+        chunk_lat: list | None,
+    ) -> int:
+        """Latency sums of a summary step's chunks under ``inflation``.
+
+        Fills ``lat_sums`` by step position and, when ``chunk_lat`` is
+        given (monitored runs), each DRAM chunk's fetch latencies for the
+        lazy views; returns those arrays' bytes. Cache-level chunks are
+        closed-form; DRAM chunks gather from the step's latency tables.
+        Chunk geometry comes from ``st`` (memo hits copy it in there).
+        """
+        machine = self.machine
+        lm = machine.latency_model
+        tables = lm.dram_tables(machine.topology, inflation)
+        l1 = lm.l1
+        lvl_lat = (lm.l1, lm.l2, lm.l3)
+        line_size = machine.cache.config.line_size
+        nbytes = 0
+        for k, i in enumerate(st.mem_idx):
+            t, c = st.mem[k]
+            summ = var.summaries[k]
+            tgt = var.dram_targets[k]
+            nf = summ.footprint_bytes // line_size
+            if tgt is None:
+                lat_sums[i] = (
+                    (c.n_accesses - nf) * l1 + nf * lvl_lat[summ.fetch_level]
+                )
+                continue
+            fetch_lat = lm.dram_fetch_latencies(
+                tgt, t.domain, tables,
+                sequential=summ.sequential, interleaved=st.interleaved[k],
+            )
+            lat_sums[i] = float(fetch_lat.sum()) + (c.n_accesses - nf) * l1
+            if chunk_lat is not None:
+                chunk_lat[k] = fetch_lat
+                nbytes += fetch_lat.nbytes
+        return nbytes
 
     def _latency_phase(self, st: _StepMem, inflation) -> None:
         """Latency + DRAM/traffic accounting under step inflation."""
@@ -1717,41 +1742,14 @@ class ExecutionEngine:
                     st.chunk_dram[k] = dram_cat[s:e]
                     st.chunk_remote[k] = remote_cat[s:e]
         elif n_mem:
-            latency_model = machine.latency_model
-            topology = machine.topology
-            l1 = latency_model.l1
-            lvl_lat = (latency_model.l1, latency_model.l2, latency_model.l3)
-            keep_fetch_lat = self.monitor is not None
-            for k, i in enumerate(st.mem_idx):
-                t, c = st.mem[k]
-                summ = st.summaries[k]
-                tgt = st.dram_targets[k]
-                nf = summ.footprint_bytes // machine.cache.config.line_size
-                if tgt is None:
-                    # All fetches hit a cache level: the chunk's latency
-                    # sum is exact closed-form arithmetic.
-                    st.lat_sums[i] = (
-                        (c.n_accesses - nf) * l1 + nf * lvl_lat[summ.fetch_level]
-                    )
-                else:
-                    fetch_lat = latency_model.dram_fetch_latencies(
-                        tgt,
-                        t.domain,
-                        topology,
-                        inflation,
-                        sequential=summ.sequential,
-                        interleaved=st.interleaved[k],
-                    )
-                    st.lat_sums[i] = (
-                        float(fetch_lat.sum()) + (c.n_accesses - nf) * l1
-                    )
-                    st.dram += nf
-                    st.remote_dram += int(np.count_nonzero(tgt != t.domain))
-                    st.traffic[t.domain] += np.bincount(
-                        tgt, minlength=n_domains
-                    )
-                    if keep_fetch_lat:
-                        st.chunk_lat[k] = fetch_lat
+            var = st.summary_var
+            st.dram = var.dram
+            st.remote_dram = var.remote_dram
+            st.traffic = var.traffic
+            self._summary_latency(
+                st, var, inflation, st.lat_sums,
+                st.chunk_lat if self.monitor is not None else None,
+            )
 
     def _latency_memo(self, st: _StepMem, inflation) -> None:
         """Memoized latency: variants keyed by the exact inflation vector.
@@ -1799,38 +1797,10 @@ class ExecutionEngine:
                 if need_views:
                     nbytes += lat_cat.nbytes
             else:
-                latency_model = machine.latency_model
-                topology = machine.topology
-                l1 = latency_model.l1
-                lvl_lat = (
-                    latency_model.l1, latency_model.l2, latency_model.l3
+                nbytes += self._summary_latency(
+                    st, var, inflation, lat_sums,
+                    chunk_lat if need_views else None,
                 )
-                line_size = machine.cache.config.line_size
-                for k, i in enumerate(pure.mem_idx):
-                    t, c = pure.mem[k]
-                    summ = var.summaries[k]
-                    tgt = var.dram_targets[k]
-                    nf = summ.footprint_bytes // line_size
-                    if tgt is None:
-                        lat_sums[i] = (
-                            (c.n_accesses - nf) * l1
-                            + nf * lvl_lat[summ.fetch_level]
-                        )
-                    else:
-                        fetch_lat = latency_model.dram_fetch_latencies(
-                            tgt,
-                            t.domain,
-                            topology,
-                            inflation,
-                            sequential=summ.sequential,
-                            interleaved=pure.interleaved[k],
-                        )
-                        lat_sums[i] = (
-                            float(fetch_lat.sum()) + (c.n_accesses - nf) * l1
-                        )
-                        if need_views:
-                            chunk_lat[k] = fetch_lat
-                            nbytes += fetch_lat.nbytes
             lv = LatVariant(lat_sums, chunk_lat, nbytes + 8 * st.n_active)
             var.lats[lkey] = lv
             memo.charge(rec, lv.nbytes)
@@ -1892,9 +1862,10 @@ class ExecutionEngine:
                     st.chunk_dram[k], st.chunk_remote[k],
                 ))
             else:
+                var = st.summary_var
                 views.append(LazyChunkView(
-                    t.tid, t.cpu, t.domain, chunk, path, st.summaries[k],
-                    machine, st.fetch_idx[k], st.dram_targets[k],
+                    t.tid, t.cpu, t.domain, chunk, path, var.summaries[k],
+                    machine, var.fidx[k], var.dram_targets[k],
                     st.chunk_lat[k],
                 ))
         costs = list(self.monitor.on_step(views))

@@ -108,14 +108,14 @@ class PureStep:
         "mem_idx", "mem", "batched",
         "lengths", "starts", "interleaved", "interleaved_arr",
         "acc_domains", "cpus", "seg_ids", "segs",
+        # per chunk: arrays on the batched path, lists on the summary path
+        "sequential", "footprints", "first_addrs",
         # batched path (step-wide). ``addrs_cat`` is the step's slice of
         # the columnar trace (a view, bytes owned by the gen store) when
         # the step came from a StepTrace; None otherwise.
-        "addrs_cat",
-        "fetch", "sequential", "footprints", "first_addrs",
+        "addrs_cat", "fetch",
         # summary path (per mem chunk):
-        "chunk_fetch", "chunk_seq_flags", "chunk_fp", "chunk_first",
-        "chunk_fidx",
+        "chunk_fetch", "chunk_fidx",
         "nbytes",
     )
 

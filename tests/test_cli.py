@@ -105,6 +105,42 @@ class TestErrors:
         assert captured.err.startswith("error: --extrap-warmup")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep", "--threads", "0"], "--threads"),
+            (["sweep", "--period", "0"], "--period"),
+            (["sweep", "--workers", "0"], "--workers"),
+            (["sweep", "--workers", "-1"], "--workers"),
+            (["sweep", "--top", "-1"], "--top"),
+            (["autotune", "sweep", "--threads", "0"], "--threads"),
+            (["autotune", "sweep", "--period", "0"], "--period"),
+            (["autotune", "sweep", "--workers", "-1"], "--workers"),
+            (["bench-perf", "--threads", "0"], "--threads"),
+            (["bench-perf", "--period", "0"], "--period"),
+        ],
+    )
+    def test_bad_count_is_one_clean_line(self, capsys, argv, flag):
+        """Zero or negative counts are rejected, not silently replaced
+        by defaults or written into run manifests."""
+        rc = main(argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} must be >=")
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [[], ["bench-perf"], ["autotune"], ["runs"], ["runs", "list"],
+     ["runs", "show"], ["runs", "diff"], ["runs", "timeline"]],
+)
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
+
 
 class TestTelemetryFlags:
     def test_trace_stats_jsonl(self, tmp_path, capsys):

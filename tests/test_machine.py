@@ -30,6 +30,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Machine(topology=topo, base_cpi=-1)
 
+    @pytest.mark.parametrize("page_size", [0, 3000, -4096])
+    def test_page_size_must_be_power_of_two(self, page_size):
+        topo = NumaTopology(n_domains=2, cores_per_domain=2)
+        with pytest.raises(ValueError, match="power of two"):
+            Machine(topology=topo, page_size=page_size)
+
     def test_describe(self, machine):
         assert "NUMA domains" in machine.describe()
 
