@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -1017,12 +1018,23 @@ def _load_baseline(args, config: dict) -> tuple[dict | None, str | None]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.__main__ import validate_counts
+    from repro.__main__ import _validate_scale, validate_counts
     from repro.errors import UsageError
 
     args = build_parser().parse_args(argv)
     try:
         validate_counts(args)
+        if args.scale is not None:
+            _validate_scale(args.scale)
+        # NaN/inf would switch the gate off (``r < 1 - threshold`` is
+        # never true); a negative value would flag every row.
+        if args.threshold is not None and not (
+            math.isfinite(args.threshold) and 0 <= args.threshold < 1
+        ):
+            raise UsageError(
+                f"--threshold must be a fraction in [0, 1), "
+                f"got {args.threshold!r}"
+            )
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -409,7 +409,11 @@ class CacheHierarchy:
         sortedness test. On a sorted chunk with a power-of-two line size
         two neighbours lie in different lines exactly when their XOR
         (as unsigned) reaches the line size, so line numbers are never
-        formed; other chunks take :func:`first_occurrence_mask` on them.
+        formed. Other chunks take :func:`first_occurrence_mask` on line
+        numbers: an unsorted chunk whose lines span less than
+        :data:`~repro.units.DENSE_SPAN_FACTOR` times its length (AMG's
+        jittered index chunks span about n/8) gets an O(n)
+        first-position table there instead of a sort.
         """
         n = addrs.size
         if n < 2:
@@ -506,8 +510,9 @@ class CacheHierarchy:
         n_ok = ok_cum[np.maximum(e - 1, s)] - ok_cum[s]
         sequential = (n_deltas < 1) | (n_ok >= SEQUENTIAL_FRACTION * n_deltas)
 
-        # Chunks with backward line jumps need the generic (np.unique)
-        # first-occurrence mask; recompute only their slices.
+        # Chunks with backward line jumps need the general
+        # first-occurrence mask (a first-position table when their lines
+        # are range-dense, else np.unique); recompute only their slices.
         for j in np.nonzero(n_neg > 0)[0]:
             fetch[s[j] : e[j]] = first_occurrence_mask(lines[s[j] : e[j]])
 

@@ -533,7 +533,8 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro import presets
     from repro.__main__ import (
-        ANALYSIS_PERIODS, WORKLOADS, _builders, validate_counts,
+        ANALYSIS_PERIODS, WORKLOADS, _builders, _validate_scale,
+        validate_counts,
     )
     from repro.errors import NumaProfError, UsageError
 
@@ -550,8 +551,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"unknown machine preset {preset_name!r} "
                 f"(available: {', '.join(sorted(presets.PRESETS))})"
             )
-        if args.scale <= 0:
-            raise UsageError(f"--scale must be positive, got {args.scale}")
+        _validate_scale(args.scale)
         if args.window < 1:
             raise UsageError(f"--window must be >= 1, got {args.window}")
         cfg = AutotuneConfig(

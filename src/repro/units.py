@@ -47,39 +47,82 @@ def line_of(addr: int | np.ndarray, line_size: int = CACHE_LINE):
     return addr // line_size
 
 
+#: ``first_occurrence_mask`` indexes a first-position table by value when
+#: an integer input's value span is below this multiple of its length.
+#: The table then holds at most 4n ``intp`` entries (32 bytes per input
+#: element), so memory stays O(n) and filling it costs no more than a
+#: few passes over the input, where ``np.unique`` sorts. AMG's jittered
+#: index chunks span about n/8 lines.
+DENSE_SPAN_FACTOR = 4
+
+
+def _sorted_first_mask(values: np.ndarray) -> np.ndarray | None:
+    """First-occurrence mask of a non-decreasing 1-D array, else None.
+
+    Compares neighbours rather than differencing them, so unsigned and
+    int64-extreme inputs cannot wrap into a wrong sortedness verdict.
+    """
+    head, tail = values[:-1], values[1:]
+    if not np.all(tail >= head):
+        return None
+    mask = np.empty(values.size, dtype=bool)
+    mask[0] = True
+    np.not_equal(tail, head, out=mask[1:])
+    return mask
+
+
 def fast_unique(values: np.ndarray) -> np.ndarray:
     """``np.unique`` with an O(n) fast path for already-sorted input.
 
     The simulator's hot path calls unique on page/line arrays derived
-    from mostly-sorted sweep traces; checking sortedness with a diff is
-    far cheaper than the sort inside ``np.unique``.
+    from mostly-sorted sweep traces; checking sortedness with one
+    comparison pass is far cheaper than the sort inside ``np.unique``.
     """
     values = np.asarray(values)
     if values.size <= 1:
         return values.copy()
-    deltas = np.diff(values)
-    if np.all(deltas >= 0):
-        keep = np.empty(values.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = deltas > 0
+    keep = _sorted_first_mask(values)
+    if keep is not None:
         return values[keep]
     return np.unique(values)
 
 
 def first_occurrence_mask(values: np.ndarray) -> np.ndarray:
-    """Boolean mask of each value's first occurrence, in order.
+    """Boolean mask of each value's first occurrence in a 1-D array.
 
-    O(n) for sorted inputs; falls back to ``np.unique`` otherwise.
+    Three regimes, chosen from the input itself; all give the mask
+    ``np.unique(values, return_index=True)`` implies:
+
+    * sorted (non-decreasing): O(n), a value is new where it differs
+      from its predecessor;
+    * integer with a value span below ``DENSE_SPAN_FACTOR * n``:
+      O(n + span), a table indexed by ``value - min`` takes each value's
+      smallest position by ``np.minimum.at``, which is commutative, so
+      the result does not depend on scatter order;
+    * anything else (floats, sparse integers): ``np.unique``.
     """
     values = np.asarray(values)
-    mask = np.zeros(values.shape, dtype=bool)
-    if values.size == 0:
+    n = values.size
+    if n <= 1:
+        return np.ones(values.shape, dtype=bool)
+    mask = _sorted_first_mask(values)
+    if mask is not None:
         return mask
-    deltas = np.diff(values)
-    if np.all(deltas >= 0):
-        mask[0] = True
-        mask[1:] = deltas > 0
-        return mask
+    if values.dtype.kind in "iu":
+        imin = values.argmin()
+        # Python ints: an int64 span past 2**63 must not wrap small.
+        span = int(values.max()) - int(values[imin])
+        if span < DENSE_SPAN_FACTOR * n:
+            if values.dtype.itemsize != np.dtype(np.intp).itemsize:
+                values = values.astype(np.intp)
+            # Viewing the difference as intp is exact (uint64 values past
+            # 2**63 included): every true key lies in [0, span < 4n].
+            keys = np.subtract(values, values[imin]).view(np.intp)
+            order = np.arange(n, dtype=np.intp)
+            first = np.full(span + 1, n, dtype=np.intp)
+            np.minimum.at(first, keys, order)
+            return first[keys] == order
+    mask = np.zeros(n, dtype=bool)
     _, first_idx = np.unique(values, return_index=True)
     mask[first_idx] = True
     return mask

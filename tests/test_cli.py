@@ -98,6 +98,38 @@ class TestErrors:
         assert "Traceback" not in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["autotune", "sweep", "--scale", "nan"], "--scale"),
+            (["autotune", "sweep", "--scale", "0"], "--scale"),
+            (["autotune", "sweep", "--scale", "1e18"], "--scale"),
+            (["bench-perf", "--scale", "nan"], "--scale"),
+            (["bench-perf", "--scale", "-1"], "--scale"),
+            (["bench-perf", "--scale", "inf"], "--scale"),
+            (["bench-perf", "--threshold", "nan"], "--threshold"),
+            (["bench-perf", "--threshold", "inf"], "--threshold"),
+            (["bench-perf", "--threshold", "-1"], "--threshold"),
+            (["bench-perf", "--threshold", "1"], "--threshold"),
+        ],
+    )
+    def test_bad_subcommand_value_is_one_clean_line(
+        self, capsys, tmp_path, argv, flag
+    ):
+        """Subcommands reject non-finite and out-of-range --scale and
+        --threshold values before running anything or writing a
+        reference file."""
+        out = tmp_path / "bench.json"
+        if argv[0] == "bench-perf":
+            argv = argv + ["--output", str(out)]
+        rc = main(argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag}")
+        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_extrap_warmup_is_one_clean_line(self, capsys):
         rc = main(["sweep", "--extrapolate", "--extrap-warmup", "0"])
         assert rc == 2

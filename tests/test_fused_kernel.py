@@ -1,11 +1,14 @@
 """Oracle tests for the fused per-chunk classify kernel and the latency tables.
 
 The references below are the straightforward per-access formulations the
-kernels replace: line numbers by floor division plus a first-occurrence
-mask, a two-sided stride test for sequentiality, and the elementwise
-DRAM demand/exposure expressions evaluated per fetch. Every comparison
-is exact (``array_equal`` / ``==``): the kernels must be bit-identical.
+kernels replace: line numbers by floor division plus an ``np.unique``
+first-occurrence mask, a two-sided stride test for sequentiality, and the
+elementwise DRAM demand/exposure expressions evaluated per fetch. Every
+comparison is exact (``array_equal`` / ``==``): the kernels must be
+bit-identical.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,19 +23,14 @@ from repro.machine.cache import (
 )
 from repro.machine.latency import LatencyModel
 from repro.machine.topology import NumaTopology
+from repro.units import DENSE_SPAN_FACTOR, first_occurrence_mask
+from repro.workloads import AMG2006, WorkloadBase
 
 # ---------------------------------------------------------------- references
 
 
 def ref_first_occurrence_mask(values):
     mask = np.zeros(values.shape, dtype=bool)
-    if values.size == 0:
-        return mask
-    deltas = np.diff(values)
-    if np.all(deltas >= 0):
-        mask[0] = True
-        mask[1:] = deltas > 0
-        return mask
     _, first_idx = np.unique(values, return_index=True)
     mask[first_idx] = True
     return mask
@@ -133,6 +131,127 @@ def test_chunk_fetch_products_match_reference(chunk):
 )
 def test_short_chunks_match_reference(addrs, line):
     _check_products(np.array(addrs, dtype=np.int64), line)
+
+
+# ------------------------------------------------------- first occurrence
+
+
+@st.composite
+def integer_arrays(draw):
+    """Integer arrays around the dense-table bound, in narrow and wide
+    dtypes, with negative values and values at the dtype's extremes."""
+    dtype = np.dtype(draw(st.sampled_from(
+        [np.int8, np.int32, np.int64, np.uint64]
+    )))
+    info = np.iinfo(dtype)
+    full = int(info.max) - int(info.min)
+    n = draw(st.integers(0, 120))
+    bound = DENSE_SPAN_FACTOR * max(n, 1)
+    span = min(full, draw(
+        st.sampled_from([0, 1, bound - 1, bound, bound + 1, full])
+        | st.integers(0, 2 * bound)
+    ))
+    lo = draw(
+        st.sampled_from([int(info.min), int(info.max) - span, 0])
+        | st.integers(int(info.min), int(info.max) - span)
+    )
+    lo = min(max(lo, int(info.min)), int(info.max) - span)
+    vals = draw(st.lists(st.integers(lo, lo + span), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        # Pin both ends so the array spans exactly ``span``.
+        i, j = draw(st.permutations(range(n)))[:2]
+        vals[i], vals[j] = lo, lo + span
+    if draw(st.booleans()):
+        vals.sort()
+    return np.array(vals, dtype=dtype)
+
+
+@settings(max_examples=500, deadline=None)
+@given(integer_arrays())
+def test_first_occurrence_mask_matches_unique(values):
+    got = first_occurrence_mask(values)
+    assert got.dtype == bool
+    assert np.array_equal(got, ref_first_occurrence_mask(values))
+
+
+def _takes_unique(values):
+    with mock.patch.object(np, "unique", wraps=np.unique) as spy:
+        got = first_occurrence_mask(values)
+    assert np.array_equal(got, ref_first_occurrence_mask(values))
+    return spy.called
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint64])
+@pytest.mark.parametrize("past_bound", [False, True])
+def test_dense_table_bound(dtype, past_bound):
+    """Unsorted integers spanning up to ``DENSE_SPAN_FACTOR * n - 1``
+    use the first-position table; one more and they fall back to a sort."""
+    n = 20
+    span = DENSE_SPAN_FACTOR * n - 1 + past_bound
+    lo = -40 if np.dtype(dtype).kind == "i" else 7
+    rng = np.random.default_rng(span)
+    vals = rng.integers(lo, lo + span + 1, size=n)
+    vals[:3] = [lo + span, lo, lo + span]
+    assert _takes_unique(vals.astype(dtype)) == past_bound
+
+
+@pytest.mark.parametrize(
+    "values, sorts",
+    [
+        # int64 extremes: a wrapped span would look tiny or negative.
+        (np.array([2**63 - 1, -(2**63), 2**63 - 1], dtype=np.int64), True),
+        (np.array([2**63 - 1, -(2**63), 0, -(2**63)], dtype=np.int64), True),
+        (np.array([2**63 - 1, 2**63 - 3, 2**63 - 1], dtype=np.int64), False),
+        (np.array([2 - 2**63, -(2**63), 2 - 2**63], dtype=np.int64), False),
+        (np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64), True),
+        (np.array([2**64 - 1, 2**64 - 3, 2**64 - 1], dtype=np.uint64), False),
+        (np.tile(np.array([127, -128, 0], dtype=np.int8), 30), False),
+        # Lengths 0-2 and all-equal arrays never need a sort.
+        (np.array([], dtype=np.int64), False),
+        (np.array([5], dtype=np.uint64), False),
+        (np.array([3, 1], dtype=np.int32), False),
+        (np.full(9, -4, dtype=np.int8), False),
+        # Floats keep np.unique, even when range-dense.
+        (np.array([3.0, 1.0, 3.0, 2.0]), True),
+        (np.array([np.nan, 1.0, np.nan]), True),
+    ],
+)
+def test_first_occurrence_mask_regimes(values, sorts):
+    assert _takes_unique(values) == sorts
+
+
+def test_amg_shaped_chunk_takes_dense_table():
+    """An AMG ``RAP_diag_data[A_diag_i[i]]`` chunk: unsorted, its lines
+    span about n/8, and its fetch mask comes from the first-position
+    table, identical to the ``np.unique`` reference, per chunk and per
+    step."""
+    rng = np.random.default_rng(7)
+    jitter = AMG2006().index_jitter
+    base = 1 << 30
+    cache = CacheHierarchy(CacheConfig())
+    line = cache.config.line_size
+    chunks = []
+    for lo, hi in [(0, 20_833), (20_833, 72_833), (72_833, 156_167)]:
+        idx = WorkloadBase.jittered_block_indices(rng, lo, hi, 156_167, jitter)
+        addrs = base + idx * 8
+        assert np.any(np.diff(addrs) < 0)
+        lines = addrs // line
+        assert int(lines.max() - lines.min()) < addrs.size / 7
+        with mock.patch.object(np, "unique", wraps=np.unique) as spy:
+            fetch, fidx, _ = cache.chunk_fetch_products(addrs)
+        assert not spy.called
+        ref = ref_first_occurrence_mask(lines)
+        assert np.array_equal(fetch, ref)
+        assert np.array_equal(fidx, np.flatnonzero(ref))
+        chunks.append(addrs)
+    starts = np.concatenate(([0], np.cumsum([c.size for c in chunks])))
+    with mock.patch.object(np, "unique", wraps=np.unique) as spy:
+        step = cache.step_fetch_products(np.concatenate(chunks), starts)
+    assert not spy.called
+    assert np.array_equal(
+        step.fetch,
+        np.concatenate([ref_first_occurrence_mask(c // line) for c in chunks]),
+    )
 
 
 # ---------------------------------------------------------------- latency
