@@ -87,3 +87,61 @@ class MinMaxTable:
         first = self.n_rows
         self.n_rows = need
         return first
+
+
+#: Segments longer than this are summed with ``ndarray.sum`` itself
+#: (numpy's pairwise summation recurses above 128 values).
+PAIRWISE_BLOCK = 128
+
+
+def segment_sums(
+    values: np.ndarray, counts: np.ndarray, seg: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-segment float sums equal, bit for bit, to ``ndarray.sum()``.
+
+    ``values`` holds consecutive segments of ``counts[i]`` values each;
+    ``seg`` optionally gives each value's segment index.
+    numpy's float ``add.reduce`` starts from 0.0 and adds the segment's
+    pairwise sum: fewer than 8 values are added in order; up to
+    :data:`PAIRWISE_BLOCK` values go round-robin into 8 partial sums,
+    combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and the
+    remaining ``n % 8`` values are then added in order. This kernel
+    reproduces both regimes with ``bincount`` (which accumulates in
+    input order from 0.0) and falls back to ``.sum()`` per segment
+    beyond the block size.
+    """
+    n_seg = counts.size
+    if seg is None:
+        seg = np.repeat(np.arange(n_seg), counts)
+    small = counts < 8
+    # (bincount of an empty input comes back int64, hence the casts.)
+    if small.all():
+        return np.bincount(seg, weights=values, minlength=n_seg).astype(
+            np.float64, copy=False
+        )
+    first = np.cumsum(counts) - counts
+    local = np.arange(values.size) - first[seg]
+    # Sequential prefix: all of a small segment, none of a blocked one.
+    lead = small[seg]
+    out = np.bincount(
+        seg[lead], weights=values[lead], minlength=n_seg
+    ).astype(np.float64, copy=False)
+    blocked = ~small & (counts <= PAIRWISE_BLOCK)
+    if blocked.any():
+        n8 = counts - counts % 8
+        in_acc = blocked[seg] & (local < n8[seg])
+        r = np.bincount(
+            seg[in_acc] * 8 + local[in_acc] % 8,
+            weights=values[in_acc], minlength=8 * n_seg,
+        ).reshape(n_seg, 8)
+        tree = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + (
+            (r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])
+        )
+        out[blocked] = tree[blocked]
+        tail = np.where(blocked[seg], local - n8[seg], -1)
+        for j in range(int(tail.max()) + 1):
+            at = np.flatnonzero(tail == j)
+            out[seg[at]] += values[at]
+    for k in np.flatnonzero(counts > PAIRWISE_BLOCK).tolist():
+        out[k] = values[first[k]:first[k] + counts[k]].sum()
+    return out

@@ -26,6 +26,9 @@ class VariableRegistry:
         self._bases = np.empty(0, dtype=np.int64)
         self._ends = np.empty(0, dtype=np.int64)
         self._names: list[str] = []
+        #: Name -> stable integer id (interned, never reused).
+        self._name_ids: dict[str, int] = {}
+        self._slot_ids = np.empty(0, dtype=np.int64)
         self._dirty = False
 
     def register(self, var: Variable) -> None:
@@ -43,6 +46,10 @@ class VariableRegistry:
         self._bases = np.array([v.base for v in ordered], dtype=np.int64)
         self._ends = np.array([v.end for v in ordered], dtype=np.int64)
         self._names = [v.name for v in ordered]
+        ids = self._name_ids
+        self._slot_ids = np.array(
+            [ids.setdefault(n, len(ids)) for n in self._names], dtype=np.int64
+        )
         self._dirty = False
 
     def resolve_addr(self, addr: int) -> Variable:
@@ -68,6 +75,22 @@ class VariableRegistry:
                 f"sample batch straddles variable {var.name!r}"
             )
         return var
+
+    def locate(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`resolve_addrs` over many batches.
+
+        ``lo``/``hi`` are each batch's minimum and maximum address.
+        Returns a stable integer id of the name of the variable holding
+        each whole batch, or -1 where ``lo`` matches no variable or the
+        batch straddles past the end of the one it starts in.
+        """
+        if self._dirty:
+            self._rebuild()
+        if not self._names:
+            return np.full(lo.size, -1, dtype=np.int64)
+        slot = np.searchsorted(self._bases, lo, side="right") - 1
+        ok = (slot >= 0) & (hi < self._ends.take(slot, mode="clip"))
+        return np.where(ok, self._slot_ids.take(slot, mode="clip"), -1)
 
     @property
     def live_variables(self) -> list[Variable]:

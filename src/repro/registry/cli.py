@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.errors import NumaProfError
+from repro.errors import NumaProfError, UsageError
 from repro.registry.store import RunRegistry
 
 #: Default series drawn by ``runs timeline``.
@@ -181,6 +181,8 @@ def _cmd_diff(registry: RunRegistry, args) -> int:
 
 
 def _cmd_timeline(registry: RunRegistry, args) -> int:
+    if args.width < 1:
+        raise UsageError(f"--width must be >= 1, got {args.width}")
     doc = registry.manifest(args.run)
     series_doc = registry.load_series(args.run)
     names = (

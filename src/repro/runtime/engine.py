@@ -289,6 +289,7 @@ class _StepMem:
         "lat_sums", "dram", "remote_dram", "traffic",
         "chunk_levels", "chunk_targets", "chunk_seq",
         "chunk_lat", "chunk_dram", "chunk_remote",
+        "addrs_cat", "remote_cat", "lat_cat",
         "memo_rec", "memo_var", "memo_lat",
     )
 
@@ -300,6 +301,7 @@ class _StepMem:
         self.memo_rec = None
         self.memo_var = None
         self.memo_lat = None
+        self.summary_var = None
 
 
 class Monitor:
@@ -1381,6 +1383,7 @@ class ExecutionEngine:
                 addrs_cat = cat
             else:
                 addrs_cat = np.concatenate([c.addrs for _, c in mem])
+            st.addrs_cat = addrs_cat
             st.cls, st.targets_cat = machine.classify_step(
                 addrs_cat,
                 starts,
@@ -1719,7 +1722,8 @@ class ExecutionEngine:
                 np.array(st.interleaved, dtype=bool),
             )
             acc_rep = np.repeat(acc_domains, st.lengths)
-            remote_cat = targets_cat != acc_rep
+            remote_cat = st.remote_cat = targets_cat != acc_rep
+            st.lat_cat = lat_cat
             st.dram = int(np.count_nonzero(dram_cat))
             st.remote_dram = int(np.count_nonzero(dram_cat & remote_cat))
             # Traffic matrix in one pass: bincount over flattened
@@ -1777,6 +1781,7 @@ class ExecutionEngine:
             n_mem = len(pure.mem)
             lat_sums = [0.0] * st.n_active
             chunk_lat = [None] * n_mem
+            lat_cat = None
             nbytes = 0
             if pure.batched:
                 lat_cat = machine.step_access_latency(
@@ -1796,12 +1801,16 @@ class ExecutionEngine:
                         chunk_lat[k] = lat_cat[s:e]
                 if need_views:
                     nbytes += lat_cat.nbytes
+                else:
+                    lat_cat = None
             else:
                 nbytes += self._summary_latency(
                     st, var, inflation, lat_sums,
                     chunk_lat if need_views else None,
                 )
-            lv = LatVariant(lat_sums, chunk_lat, nbytes + 8 * st.n_active)
+            lv = LatVariant(
+                lat_sums, chunk_lat, nbytes + 8 * st.n_active, lat_cat
+            )
             var.lats[lkey] = lv
             memo.charge(rec, lv.nbytes)
         else:
@@ -1828,46 +1837,34 @@ class ExecutionEngine:
             views = lv.views
             if views is None:
                 self.memo.miss()
-                views = self._build_memo_views(step, st)
+                pure = st.memo_rec.pure
+                var = st.memo_var
+                views = self._build_views(
+                    step, pure.mem_idx, pure.batched, var, lv.chunk_lat
+                )
+                if pure.batched:
+                    views.attach_step_arrays(
+                        step, pure.mem_idx, pure.starts, pure.addrs_cat,
+                        var.targets_cat, var.remote_cat, lv.lat_cat,
+                    )
                 lv.views = views
                 # Views are slices into already-charged variant arrays;
                 # charge the per-view object overhead approximately.
                 self.memo.charge(st.memo_rec, 256 * len(views))
             else:
                 self.memo.hit()
-            costs = list(self.monitor.on_step(views))
-            if traced:
-                tr.end()
-            if len(costs) != st.n_active:
-                raise ProgramError(
-                    f"monitor on_step returned {len(costs)} costs for "
-                    f"{st.n_active} chunks"
-                )
-            return costs
-        machine = self.machine
-        views = []
-        mem_rank = {i: k for k, i in enumerate(st.mem_idx)}
-        for i, (t, chunk) in enumerate(step):
-            path = self.callstacks[t.tid].with_leaf(chunk.ip)
-            k = mem_rank.get(i)
-            if k is None:
-                views.append(ChunkView(
-                    t.tid, t.cpu, t.domain, chunk, _EMPTY_U8, _EMPTY_I64,
-                    _EMPTY_F64, path, _EMPTY_BOOL, _EMPTY_BOOL,
-                ))
-            elif st.batched:
-                views.append(ChunkView(
-                    t.tid, t.cpu, t.domain, chunk, st.chunk_levels[k],
-                    st.chunk_targets[k], st.chunk_lat[k], path,
-                    st.chunk_dram[k], st.chunk_remote[k],
-                ))
-            else:
-                var = st.summary_var
-                views.append(LazyChunkView(
-                    t.tid, t.cpu, t.domain, chunk, path, var.summaries[k],
-                    machine, var.fidx[k], var.dram_targets[k],
-                    st.chunk_lat[k],
-                ))
+        elif st.batched:
+            views = self._build_views(
+                step, st.mem_idx, True, st, st.chunk_lat
+            )
+            views.attach_step_arrays(
+                step, st.mem_idx, st.starts, st.addrs_cat,
+                st.targets_cat, st.remote_cat, st.lat_cat,
+            )
+        else:
+            views = self._build_views(
+                step, st.mem_idx, False, st.summary_var, st.chunk_lat,
+            )
         costs = list(self.monitor.on_step(views))
         if traced:
             tr.end()
@@ -1878,23 +1875,26 @@ class ExecutionEngine:
             )
         return costs
 
-    def _build_memo_views(
-        self, step: list[tuple[SimThread, AccessChunk]], st: _StepMem
+    def _build_views(
+        self,
+        step: list[tuple[SimThread, AccessChunk]],
+        mem_idx: list[int],
+        batched: bool,
+        var,
+        chunk_lat: list,
     ) -> StepViews:
-        """Build (once per latency variant) the step's cached view list.
+        """The step's monitor views.
 
-        Identical views to the uncached ``_monitor_phase`` body: eager
-        slices of the variant's concatenated arrays on the batched path,
-        lazy views on the summary path, empty arrays for pure-compute
-        chunks. Call paths are taken from the live callstacks, which
-        hold the same frames on every iteration of a region.
+        Eager slices of the step's concatenated arrays on the batched
+        path, lazy views on the summary path, empty arrays for
+        pure-compute chunks. ``var`` holds the per-chunk classification
+        slices (the step bundle, or the memo's classify variant). Call
+        paths are taken from the live callstacks, which hold the same
+        frames on every iteration of a region.
         """
         machine = self.machine
-        var = st.memo_var
-        lv = st.memo_lat
-        pure = st.memo_rec.pure
         views = []
-        mem_rank = {i: k for k, i in enumerate(pure.mem_idx)}
+        mem_rank = {i: k for k, i in enumerate(mem_idx)}
         for i, (t, chunk) in enumerate(step):
             path = self.callstacks[t.tid].with_leaf(chunk.ip)
             k = mem_rank.get(i)
@@ -1903,17 +1903,17 @@ class ExecutionEngine:
                     t.tid, t.cpu, t.domain, chunk, _EMPTY_U8, _EMPTY_I64,
                     _EMPTY_F64, path, _EMPTY_BOOL, _EMPTY_BOOL,
                 ))
-            elif pure.batched:
+            elif batched:
                 views.append(ChunkView(
                     t.tid, t.cpu, t.domain, chunk, var.chunk_levels[k],
-                    var.chunk_targets[k], lv.chunk_lat[k], path,
+                    var.chunk_targets[k], chunk_lat[k], path,
                     var.chunk_dram[k], var.chunk_remote[k],
                 ))
             else:
                 views.append(LazyChunkView(
                     t.tid, t.cpu, t.domain, chunk, path, var.summaries[k],
                     machine, var.fidx[k], var.dram_targets[k],
-                    lv.chunk_lat[k],
+                    chunk_lat[k],
                 ))
         return StepViews.from_views(views)
 

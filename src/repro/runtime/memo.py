@@ -72,9 +72,19 @@ class StepViews(list):
     view order) instead of re-deriving them with per-view Python loops
     every iteration, and may stash their own per-step invariants in
     ``memo`` (keyed by consumer).
+
+    Small-chunk (batched) steps also carry the step-concatenated
+    per-access arrays the views slice — ``addrs_cat``, ``targets_cat``,
+    ``remote_cat`` and ``lat_cat`` — with ``offsets[i]`` the start of
+    view ``i``'s slice, so a monitor gathers every sample of the step
+    in one fancy index. They are ``None`` on large-chunk steps, whose
+    views are lazy.
     """
 
-    __slots__ = ("tids", "n_ins", "n_acc", "memo")
+    __slots__ = (
+        "tids", "n_ins", "n_acc", "memo",
+        "addrs_cat", "targets_cat", "remote_cat", "lat_cat", "offsets",
+    )
 
     def __init__(self, views, tids, n_ins, n_acc) -> None:
         super().__init__(views)
@@ -82,6 +92,8 @@ class StepViews(list):
         self.n_ins = n_ins
         self.n_acc = n_acc
         self.memo: dict = {}
+        self.addrs_cat = self.targets_cat = None
+        self.remote_cat = self.lat_cat = self.offsets = None
 
     @classmethod
     def from_views(cls, views) -> "StepViews":
@@ -94,6 +106,25 @@ class StepViews(list):
             (v.chunk.n_accesses for v in views), dtype=np.int64, count=n
         )
         return cls(views, tids, n_ins, n_acc)
+
+    def attach_step_arrays(
+        self, step, mem_idx, starts, addrs_cat, targets_cat, remote_cat,
+        lat_cat,
+    ) -> None:
+        """Attach a batched step's concatenated per-access arrays.
+
+        ``mem_idx[k]`` is the view of the ``k``-th memory chunk, whose
+        slice is ``starts[k]:starts[k + 1]``. ``addrs_cat`` may be
+        ``None`` when the step's addresses were never concatenated.
+        """
+        if addrs_cat is None:
+            addrs_cat = np.concatenate([step[i][1].addrs for i in mem_idx])
+        self.addrs_cat = addrs_cat
+        self.targets_cat = targets_cat
+        self.remote_cat = remote_cat
+        self.lat_cat = lat_cat
+        self.offsets = np.zeros(len(self), dtype=np.int64)
+        self.offsets[mem_idx] = starts[:-1]
 
 
 class PureStep:
@@ -150,11 +181,13 @@ class ClassifyVariant:
 class LatVariant:
     """Inflation-dependent latency products within one classify variant."""
 
-    __slots__ = ("lat_sums", "chunk_lat", "views", "nbytes")
+    __slots__ = ("lat_sums", "chunk_lat", "lat_cat", "views", "nbytes")
 
-    def __init__(self, lat_sums, chunk_lat, nbytes) -> None:
+    def __init__(self, lat_sums, chunk_lat, nbytes, lat_cat=None) -> None:
         self.lat_sums = lat_sums
         self.chunk_lat = chunk_lat
+        #: Batched path: the step-concatenated latencies (views slice it).
+        self.lat_cat = lat_cat
         self.views: StepViews | None = None
         self.nbytes = nbytes
 

@@ -21,9 +21,8 @@ The behavioral state before an iteration is digested as:
   during the iteration — collapsed to an O(1) :func:`sig_digest` so
   storing and comparing signatures costs O(hash), not O(state bytes);
 * the monitor's **selection state** (sampling carries, per-thread
-  jitter RNG states, mechanism-specific extras like MRK's rate budget)
-  via :meth:`SamplingMechanism.state_digest` (ndarray members are
-  collapsed to blake2b digests by :func:`freeze_state`).
+  jitter-stream consumption counts, mechanism-specific extras like
+  MRK's rate budget) via :meth:`SamplingMechanism.state_digest`.
 
 Period-p induction
 ------------------
@@ -123,28 +122,6 @@ DEFAULT_MAX_PERIOD = 4
 #: Non-converging windows before the detector disarms
 #: (``--extrap-disarm``; 0 = never disarm).
 DEFAULT_DISARM_AFTER = 3
-
-
-def freeze_state(value):
-    """Recursively convert RNG/dict state into a hashable tuple form.
-
-    ndarray members (e.g. raw bit-generator state vectors) are collapsed
-    to a 128-bit blake2b digest: building and comparing a state digest
-    is then O(hash) per iteration instead of O(state bytes), and the
-    digest tuples do not retain the raw buffers.
-    """
-    if isinstance(value, dict):
-        return tuple(sorted((k, freeze_state(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(freeze_state(v) for v in value)
-    if isinstance(value, np.ndarray):
-        return (
-            value.shape,
-            value.dtype.str,
-            blake2b(np.ascontiguousarray(value).tobytes(),
-                    digest_size=16).digest(),
-        )
-    return value
 
 
 def sig_digest(epoch: int, sig: list) -> tuple:

@@ -80,7 +80,7 @@ class SoftIBS(SamplingMechanism):
         n_acc = np.fromiter(
             (v.chunk.n_accesses for v in views), np.int64, len(views)
         )
-        tids = [v.tid for v in views]
+        tids = self._view_tids(views)
         carries = self._step_carries(tids)
         positions, _, counts, new_carries = periodic_positions_step(
             carries, n_acc, self.period

@@ -150,6 +150,8 @@ class TestErrors:
             (["autotune", "sweep", "--workers", "-1"], "--workers"),
             (["bench-perf", "--threads", "0"], "--threads"),
             (["bench-perf", "--period", "0"], "--period"),
+            (["runs", "timeline", "any", "--width", "0"], "--width"),
+            (["runs", "timeline", "any", "--width", "-1"], "--width"),
         ],
     )
     def test_bad_count_is_one_clean_line(self, capsys, argv, flag):

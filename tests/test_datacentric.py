@@ -55,6 +55,48 @@ class TestResolve:
             reg.resolve_addrs(np.array([a.base, b.base]))
 
 
+class TestLocate:
+    """``locate`` is the vectorized ``resolve_addrs``: same variable for
+    every batch that resolves, -1 exactly where it raises."""
+
+    def test_matches_scalar_resolution(self, setup):
+        reg, a, b, g = setup
+        rng = np.random.default_rng(5)
+        # Batches near each variable: inside, across either end, or
+        # into a neighbour.
+        near = [(a, b, g)[i] for i in rng.integers(0, 3, size=400)]
+        lo = np.array([
+            v.base + int(rng.integers(-64, v.nbytes + 64)) for v in near
+        ])
+        hi = lo + rng.integers(0, 2000, size=400)
+        got = reg.locate(lo, hi)
+        ids = {}
+        for i in range(lo.size):
+            try:
+                name = reg.resolve_addrs(np.array([lo[i], hi[i]])).name
+            except InvalidAddressError:
+                assert got[i] == -1
+                continue
+            assert got[i] >= 0
+            # One id per name, stable across batches.
+            assert ids.setdefault(name, int(got[i])) == got[i]
+        assert len(set(ids.values())) == len(ids)
+        assert (got == -1).any() and (got >= 0).any()
+
+    def test_straddle_and_edges(self, setup):
+        reg, a, b, _ = setup
+        got = reg.locate(
+            np.array([a.base, a.base, a.end - 1, a.end, 42]),
+            np.array([a.end - 1, b.base, a.end - 1, a.end, 42]),
+        )
+        assert got[0] == got[2] >= 0
+        assert list(got[[1, 3, 4]]) == [-1, -1, -1]
+
+    def test_empty_registry(self):
+        got = VariableRegistry().locate(np.array([0, 8]), np.array([0, 8]))
+        assert list(got) == [-1, -1]
+
+
 class TestLifecycle:
     def test_unregister(self, setup):
         reg, a, *_ = setup

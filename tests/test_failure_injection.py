@@ -8,7 +8,12 @@ right moment.
 
 import pytest
 
-from repro.errors import AllocationError, ProfileError, ProgramError
+from repro.errors import (
+    AllocationError,
+    InvalidAddressError,
+    ProfileError,
+    ProgramError,
+)
 from repro.machine import presets
 from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine, Monitor
@@ -124,6 +129,41 @@ class TestProfilerConsistency:
         with pytest.raises(ProfileError, match="impostor"):
             ExecutionEngine(
                 small_machine, toy_program, 4, monitor=sab
+            ).run()
+
+    def test_unresolvable_samples_detected(self, small_machine, toy_program):
+        """Samples in memory the registry does not know raise, rather
+        than landing in some accumulator row."""
+
+        class Blind(NumaProfiler):
+            def on_alloc(self, var):
+                super().on_alloc(var)
+                self.registry.unregister(var)
+
+        with pytest.raises(InvalidAddressError, match="matches no variable"):
+            ExecutionEngine(
+                small_machine, toy_program, 4, monitor=Blind(IBS(period=64))
+            ).run()
+
+    def test_straddling_samples_detected(self, small_machine, toy_program):
+        """One chunk's samples spanning two registered variables raise."""
+        from types import SimpleNamespace
+
+        class Split(NumaProfiler):
+            def on_alloc(self, var):
+                super().on_alloc(var)
+                self.registry.unregister(var)
+                mid = var.base + var.nbytes // 2 + 40
+                for name, base, end in (
+                    (var.name, var.base, mid), ("upper", mid, var.end)
+                ):
+                    self.registry.register(
+                        SimpleNamespace(name=name, base=base, end=end)
+                    )
+
+        with pytest.raises(InvalidAddressError, match="straddles"):
+            ExecutionEngine(
+                small_machine, toy_program, 4, monitor=Split(IBS(period=64))
             ).run()
 
     def test_profiler_before_run_start(self):

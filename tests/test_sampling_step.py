@@ -108,19 +108,15 @@ def test_select_step_matches_sequential_select(name):
             if b.n_samples:
                 assert step.latency_captured == b.latency_captured
         # Carries agree after every step, so parity survives across steps.
-        assert bat._carry == seq._carry
+        np.testing.assert_array_equal(bat._carry, seq._carry)
+        assert bat.state_digest() == seq.state_digest()
     assert bat.total_samples == seq.total_samples
     assert bat.total_events == seq.total_events
 
 
-class ForcedJitterRNG:
-    """Deterministic RNG stub returning one fixed jitter value."""
-
-    def __init__(self, value: int) -> None:
-        self.value = value
-
-    def integers(self, low, high, size=None):
-        return np.full(size, self.value, dtype=np.int64)
+def force_jitter(mech, value: int) -> None:
+    """Make every per-thread jitter stream refill with one fixed value."""
+    mech._jitter.draw = lambda tid, n: np.full(n, value, dtype=np.int64)
 
 
 def _unit_chunk(heap, name, n):
@@ -143,7 +139,7 @@ class TestJitterDedupe:
         mech = IBS(period=8)
         mech.configure(machine)
         # Force every per-thread stream far beyond the jitter window.
-        mech._rng_for = lambda tid: ForcedJitterRNG(40)
+        force_jitter(mech, 40)
         chunk = _unit_chunk(HeapAllocator(machine), "j", 64)
         levels = np.full(64, LEVEL_L1, dtype=np.uint8)
         batch = mech.select(
@@ -160,7 +156,7 @@ class TestJitterDedupe:
         machine = presets.generic()
         mech = IBS(period=8)
         mech.configure(machine)
-        mech._rng_for = lambda tid: ForcedJitterRNG(40)
+        force_jitter(mech, 40)
         heap = HeapAllocator(machine)
         views = []
         for tid in range(2):
