@@ -10,7 +10,11 @@ from repro.runtime.callstack import SourceLoc
 from repro.runtime.chunks import AccessChunk
 from repro.runtime.heap import HeapAllocator
 from repro.sampling import IBS
-from repro.sampling.base import SampleBatch, periodic_positions
+from repro.sampling.base import (
+    SampleBatch,
+    periodic_positions,
+    periodic_positions_step,
+)
 
 
 class TestPeriodicPositions:
@@ -79,6 +83,27 @@ def test_periodic_positions_spacing(n, period, carry):
     assert 0 <= new_carry < period
     if pos.size:
         assert pos[0] < n and pos[-1] < n
+
+
+@given(
+    period=st.integers(min_value=1, max_value=64),
+    chunks=st.lists(
+        st.tuples(st.integers(0, 63), st.integers(0, 300)), max_size=12
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_periodic_positions_step_matches_scalar(period, chunks):
+    """The vectorized form equals one scalar call per (carry, events)."""
+    carries = np.array([min(c, period - 1) for c, _ in chunks], np.int64)
+    n_events = np.array([n for _, n in chunks], np.int64)
+    positions, rows, counts, new_carries = periodic_positions_step(
+        carries, n_events, period
+    )
+    for k, (carry, n) in enumerate(zip(carries.tolist(), n_events.tolist())):
+        pos, new_carry = periodic_positions(carry, n, period)
+        np.testing.assert_array_equal(positions[rows == k], pos)
+        assert counts[k] == pos.size
+        assert new_carries[k] == new_carry
 
 
 class TestMechanismLifecycle:
