@@ -58,6 +58,12 @@ from repro.workloads import (
 MAX_SCALE = 1000.0
 
 
+#: Largest accepted ``--extrap-warmup``: paper regions repeat a handful
+#: of times, and a warmup at or above a region's repeat count already
+#: disables extrapolation there, so anything beyond is a typo.
+MAX_EXTRAP_WARMUP = 1000
+
+
 def _validate_scale(scale: float) -> None:
     """Reject non-positive, NaN, and absurd ``--scale`` values up front
     with a one-line usage error instead of a deep allocator traceback."""
@@ -184,19 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--extrap-warmup", type=int, default=2,
                         metavar="K",
                         help="steady iterations observed before "
-                        "extrapolation arms (default 2)")
-    parser.add_argument("--extrap-period", type=int, default=4,
-                        metavar="P",
-                        help="longest phase cycle the detector searches "
-                        "for (default 4; 1 = fixed points only)")
-    parser.add_argument("--extrap-disarm", type=int, default=3,
-                        metavar="M",
-                        help="non-converging detection windows before "
-                        "the phase detector disarms to a cheap epoch "
-                        "check (default 3; 0 = never disarm)")
-    parser.add_argument("--no-extrap-share", action="store_true",
-                        help="disable the cross-region phase library "
-                        "(each region converges on its own)")
+                        f"extrapolation arms (default 2, at most "
+                        f"{MAX_EXTRAP_WARMUP})")
     parser.add_argument("--top", type=int, default=6,
                         help="variables to show in the data-centric view")
     parser.add_argument("--var", default=None,
@@ -270,16 +265,6 @@ def _print_phase_summary(report: dict | None) -> None:
         line += f"; declared eps = {report['epsilon']:.3g}"
     if report["breaks"]:
         line += f"; {report['breaks']} phase break(s)"
-    period = max(
-        (r.get("period", 0) for r in report.get("regions", {}).values()),
-        default=0,
-    )
-    if period > 1:
-        line += f"; longest cycle period {period}"
-    if report.get("library_hits"):
-        line += f"; {report['library_hits']} phase-library hit(s)"
-    if report.get("disarms"):
-        line += f"; detector disarmed {report['disarms']}x"
     print(line + "\n")
 
 
@@ -300,17 +285,10 @@ def _run(args: argparse.Namespace) -> int:
             f"(available: {', '.join(sorted(presets.PRESETS))})"
         )
     _validate_scale(args.scale)
-    if args.extrap_warmup < 1:
+    if not 1 <= args.extrap_warmup <= MAX_EXTRAP_WARMUP:
         raise UsageError(
-            f"--extrap-warmup must be at least 1, got {args.extrap_warmup}"
-        )
-    if args.extrap_period < 1:
-        raise UsageError(
-            f"--extrap-period must be at least 1, got {args.extrap_period}"
-        )
-    if args.extrap_disarm < 0:
-        raise UsageError(
-            f"--extrap-disarm must be >= 0, got {args.extrap_disarm}"
+            f"--extrap-warmup must be in [1, {MAX_EXTRAP_WARMUP}], "
+            f"got {args.extrap_warmup}"
         )
 
     kwargs = {"max_rate": 2e6} if mech_name == "MRK" else {}
@@ -339,9 +317,6 @@ def _run(args: argparse.Namespace) -> int:
     memo_bytes = int(DEFAULT_MEMO_BYTES * max(1.0, args.scale))
     extrap_kwargs = {
         "extrapolate": extrapolate, "extrap_warmup": args.extrap_warmup,
-        "extrap_period": args.extrap_period,
-        "extrap_disarm": args.extrap_disarm,
-        "extrap_share": not args.no_extrap_share,
         "memo_bytes": memo_bytes,
     }
     with tr.span("cli.baseline_run", "harness"):

@@ -53,7 +53,7 @@ from repro.bench.harness import fmt_table
 from repro.machine import presets
 from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine
-from repro.sampling import create_mechanism
+from repro.sampling import MECHANISMS, create_mechanism
 
 SCHEMA = "bench-perf/v1"
 
@@ -280,19 +280,9 @@ def run_perf(
                 extrap_speedup=mon_s / ext_s if ext_s > 0 else 0.0,
                 phase_coverage_pct=report.get("coverage_pct", 0.0),
                 epsilon=report.get("epsilon", 0.0),
-                phase_period=max(
-                    (r.get("period", 0)
-                     for r in report.get("regions", {}).values()),
-                    default=0,
-                ),
-                phase_disarms=report.get("disarms", 0),
-                phase_library_hits=report.get("library_hits", 0),
                 phase_coverage_by_region={
                     rname: {
                         "coverage_pct": r.get("coverage_pct", 0.0),
-                        "period": r.get("period", 0),
-                        "disarms": r.get("disarms", 0),
-                        "library_hits": r.get("library_hits", 0),
                         "breaks": r.get("breaks", 0),
                     }
                     for rname, r in report.get("regions", {}).items()
@@ -1024,6 +1014,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         validate_counts(args)
+        if args.mechanism not in MECHANISMS:
+            raise UsageError(
+                f"--mechanism must be one of {', '.join(sorted(MECHANISMS))}"
+                f", got {args.mechanism!r}"
+            )
         if args.scale is not None:
             _validate_scale(args.scale)
         # NaN/inf would switch the gate off (``r < 1 - threshold`` is

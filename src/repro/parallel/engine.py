@@ -54,16 +54,13 @@ from repro.runtime.arena import (
 from repro.runtime.engine import ExecutionEngine, RunResult
 from repro.runtime.heap import HeapAllocator
 from repro.runtime.phase import (
-    DEFAULT_DISARM_AFTER,
-    DEFAULT_MAX_PERIOD,
     EpsSample,
     IterationRecording,
     PhaseReport,
     mean_cycles,
     next_schedule_boundary,
-    relative_spread,
-    slot_counts,
     union_plan,
+    window_eps,
 )
 from repro.runtime.program import ProgramContext, RegionKind
 from repro.runtime.thread import BindingPolicy, bind_threads
@@ -175,9 +172,6 @@ class ParallelEngine:
         schedule=None,
         extrapolate: bool = False,
         extrap_warmup: int = 2,
-        extrap_period: int = DEFAULT_MAX_PERIOD,
-        extrap_disarm: int = DEFAULT_DISARM_AFTER,
-        extrap_share: bool = True,
         use_shm: bool | None = None,
     ) -> None:
         if n_workers < 1:
@@ -212,9 +206,6 @@ class ParallelEngine:
         #: dict) is attached after a run when enabled.
         self.extrapolate = bool(extrapolate) and bool(memoize)
         self.extrap_warmup = max(1, int(extrap_warmup))
-        self.extrap_period = max(1, int(extrap_period))
-        self.extrap_disarm = max(0, int(extrap_disarm))
-        self.extrap_share = bool(extrap_share)
         self.phase_report: dict | None = None
         #: Shared-memory round payloads: ``None`` probes availability at
         #: run time, ``False`` forces the pickled-payload fallback
@@ -265,9 +256,6 @@ class ParallelEngine:
             schedule=self.schedule,
             extrapolate=self.extrapolate,
             extrap_warmup=self.extrap_warmup,
-            extrap_period=self.extrap_period,
-            extrap_disarm=self.extrap_disarm,
-            extrap_share=self.extrap_share,
         )
         result = engine.run()
         self.threads = engine.threads
@@ -328,8 +316,7 @@ class ParallelEngine:
             self.machine_factory, self.program_factory, self.n_threads,
             self.binding, self.monitor_factory, self.params, self.seed,
             n_workers, self.memoize, self.memo_bytes, self.schedule,
-            self.extrapolate, self.extrap_warmup, self.extrap_period,
-            self.extrap_disarm, self.extrap_share, use_shm, token,
+            self.extrapolate, self.extrap_warmup, use_shm, token,
         )
         executor = ProcessPoolExecutor(
             max_workers=n_workers,
@@ -442,20 +429,15 @@ class ParallelEngine:
                 if region.kind is RegionKind.PARALLEL
                 else threads[:1]
             )
-            #: Trailing merged-iteration window: shard histories are
+            #: Trailing merged-iteration window: shard streaks count
             #: contiguous suffixes of the live iterations, so the last
             #: ``steady_tail`` merged entries here are exactly the
-            #: verified on-cycle tail the serial detector would hold.
-            window: deque = deque(
-                maxlen=self.extrap_period * (self.extrap_warmup + 2)
-            )
+            #: verified steady tail the serial detector would hold.
+            window: deque = deque(maxlen=self.extrap_warmup)
             plan = None
             n_exact = n_eps = 0
             eps_max = 0.0
             breaks_max = 0
-            disarms_max = 0
-            lib_hits_max = 0
-            period_max = 0
             iteration = 0
             while iteration < region.repeat:
                 if phase_ok and plan is not None:
@@ -463,30 +445,17 @@ class ParallelEngine:
                         self.schedule, r_idx, iteration, region.repeat
                     )
                     n_skip = stop - iteration
-                    mode, period, tail_len = plan
-                    if mode == "exact" and period > 1 \
-                            and self.monitor_factory is not None:
-                        # Whole cycles only: shard monitors replay
-                        # accumulators but not selection state, which
-                        # must land back on the live baseline (see the
-                        # serial engine's identical clamp).
-                        n_skip -= n_skip % period
-                        stop = iteration + n_skip
+                    mode, tail_len = plan
                     if n_skip > 0:
-                        period_max = max(period_max, period)
                         shard_eps = self._round(
                             executor, "extrapolate_iterations",
-                            r_idx, n_skip, stop == region.repeat,
-                            mode, period,
+                            r_idx, n_skip, stop == region.repeat, mode,
                         )
-                        slots = list(window)[-period:]
-                        recs = [s.rec for s in slots]
-                        counts = slot_counts(n_skip, period)
+                        rec = window[-1].rec
                         if mode == "exact":
                             # The same float adds, in the same order,
                             # the serial extrapolation performs.
-                            for t_i in range(n_skip):
-                                rec = recs[t_i % period]
+                            for _ in range(n_skip):
                                 for t in active:
                                     busy[t.tid] += rec.region_cycles[t.tid]
                                 wall += rec.elapsed
@@ -496,58 +465,30 @@ class ParallelEngine:
                                 )
                             n_exact += n_skip
                         else:
-                            # Per-slot trailing windows over the merged
-                            # steady tail, mirroring
-                            # PhaseDetector.slot_windows.
-                            tail = list(window)
-                            tail = tail[len(tail) - min(tail_len, len(tail)):]
-                            eps = 0.0
-                            for j in range(period):
-                                if not counts[j]:
-                                    continue
-                                idx = len(tail) - period + j
-                                w: list[EpsSample] = []
-                                while idx >= 0 and len(w) < self.extrap_warmup:
-                                    w.append(tail[idx])
-                                    idx -= period
-                                w.reverse()
-                                if not w:
-                                    continue
-                                rc_mean, elapsed_mean = mean_cycles(w)
-                                cnt = counts[j]
-                                for t in active:
-                                    busy[t.tid] += rc_mean[t.tid] * cnt
-                                wall += elapsed_mean * cnt
-                                region_wall[region.name] = (
-                                    region_wall.get(region.name, 0.0)
-                                    + elapsed_mean * cnt
-                                )
-                                if len(w) >= 2:
-                                    eps = max(eps, relative_spread(
-                                        [s.rec.elapsed for s in w]
-                                    ))
-                                    for tid in w[0].rec.region_cycles:
-                                        eps = max(eps, relative_spread(
-                                            [s.rec.region_cycles[tid]
-                                             for s in w]
-                                        ))
+                            # The trailing window over the merged steady
+                            # tail, mirroring PhaseDetector.eps_window.
+                            k = min(tail_len, len(window))
+                            w = list(window)[len(window) - k:]
+                            rc_mean, elapsed_mean = mean_cycles(w)
+                            for t in active:
+                                busy[t.tid] += rc_mean[t.tid] * n_skip
+                            wall += elapsed_mean * n_skip
+                            region_wall[region.name] = (
+                                region_wall.get(region.name, 0.0)
+                                + elapsed_mean * n_skip
+                            )
+                            eps = window_eps(w)
                             for payload in shard_eps:
                                 eps = max(eps, payload["eps"])
                             eps_max = max(eps_max, eps)
                             n_eps += n_skip
-                        for j, cnt in enumerate(counts):
-                            if not cnt:
-                                continue
-                            rec = recs[j]
-                            total_instructions += (
-                                rec.ints["instructions"] * cnt
-                            )
-                            total_accesses += rec.ints["accesses"] * cnt
-                            total_chunks += rec.ints["chunks"] * cnt
-                            dram_accesses += rec.ints["dram"] * cnt
-                            remote_dram += rec.ints["remote_dram"] * cnt
-                            domain_requests += rec.requests * cnt
-                            domain_traffic += rec.traffic * cnt
+                        total_instructions += rec.ints["instructions"] * n_skip
+                        total_accesses += rec.ints["accesses"] * n_skip
+                        total_chunks += rec.ints["chunks"] * n_skip
+                        dram_accesses += rec.ints["dram"] * n_skip
+                        remote_dram += rec.ints["remote_dram"] * n_skip
+                        domain_requests += rec.requests * n_skip
+                        domain_traffic += rec.traffic * n_skip
                         iteration = stop
                         if mx is not None:
                             skipped_total += n_skip
@@ -630,17 +571,9 @@ class ParallelEngine:
                 breaks_prev = breaks_max
                 if phase_ok:
                     infos = [f["phase"] for f in fin]
-                    plan = union_plan(infos, self.extrap_period)
+                    plan = union_plan(infos)
                     breaks_max = max(breaks_max, max(
                         (p["breaks"] for p in infos if p is not None),
-                        default=0,
-                    ))
-                    disarms_max = max(disarms_max, max(
-                        (p["disarms"] for p in infos if p is not None),
-                        default=0,
-                    ))
-                    lib_hits_max = max(lib_hits_max, max(
-                        (p["library_hits"] for p in infos if p is not None),
                         default=0,
                     ))
                     window.append(EpsSample(
@@ -681,9 +614,6 @@ class ParallelEngine:
                 stats_r.extrapolated_eps += n_eps
                 stats_r.simulated += region.repeat - n_exact - n_eps
                 stats_r.breaks += breaks_max
-                stats_r.period = max(stats_r.period, period_max)
-                stats_r.disarms += disarms_max
-                stats_r.library_hits += lib_hits_max
                 stats_r.epsilon = max(stats_r.epsilon, eps_max)
 
         if self.extrapolate:

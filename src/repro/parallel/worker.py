@@ -52,8 +52,6 @@ from repro.runtime.phase import (
     IterationRecording,
     PhaseDetector,
     sig_digest,
-    slot_counts,
-    trace_content_key,
 )
 from repro.runtime.program import RegionKind
 from repro.units import fast_unique
@@ -112,7 +110,6 @@ class ShardEngine(ExecutionEngine):
         #: extrapolation only when every shard reports a fixed point, so
         #: the union condition matches the serial detector exactly.
         self._shard_detector: PhaseDetector | None = None
-        self._iter_observe = False
         self._iter_requests = None
         self._iter_cache_snap = None
         self._iter_mon_snap = None
@@ -190,36 +187,21 @@ class ShardEngine(ExecutionEngine):
             if (
                 self.extrapolate
                 and use_memo
-                # Mirrors the serial gate: repeat-1 regions can neither
-                # skip nor converge, so they never pay for observation.
-                and region.repeat > 1
-                and (
-                    region.repeat > self.extrap_warmup
-                    or self.phase_library is not None
-                )
+                # Mirrors the serial gate: a region that cannot finish
+                # its warmup never pays for observation.
+                and region.repeat > self.extrap_warmup
                 and (self.monitor is None or self.monitor.phase_supported())
             ):
-                detector = PhaseDetector(
-                    region.name,
-                    warmup=self.extrap_warmup,
-                    max_period=self.extrap_period,
-                    allow_eps=self.monitor is not None,
-                    monitor_present=self.monitor is not None,
-                    disarm_after=self.extrap_disarm,
-                    library=self.phase_library,
-                )
+                detector = PhaseDetector(warmup=self.extrap_warmup)
             self._shard_detector = detector
         else:
             detector = self._shard_detector
         self._iter_fired = fired
         self._iter_breaks0 = detector.breaks if detector is not None else 0
-        if detector is not None and fired:
-            detector.invalidate()
-        observe = detector is not None and detector.begin_iteration(
-            self.machine.page_table.epoch
-        )
-        self._iter_observe = observe
-        if observe:
+        if detector is not None:
+            if fired:
+                detector.invalidate()
+            detector.begin_iteration(self.machine.page_table.epoch)
             # Recording hooks mirror the serial engine's live-iteration
             # setup and must precede the monitor's region-enter callback
             # so the replay program covers the whole iteration.
@@ -230,9 +212,8 @@ class ShardEngine(ExecutionEngine):
             self._iter_mon_snap = None
             if self.monitor is not None:
                 self.monitor.phase_record_begin()
-                if detector.allow_eps:
-                    self._iter_mon_snap = self.monitor.phase_snapshot()
-                    self._iter_oh_base = self._overhead_by_tid.copy()
+                self._iter_mon_snap = self.monitor.phase_snapshot()
+                self._iter_oh_base = self._overhead_by_tid.copy()
         active = (
             self.threads
             if region.kind is RegionKind.PARALLEL
@@ -303,23 +284,6 @@ class ShardEngine(ExecutionEngine):
                         else 0
                     ),
                 )
-
-        if (
-            observe
-            and iteration == 0
-            and self.phase_library is not None
-        ):
-            # Per-shard trace content key: each worker's library matches
-            # its own slice of a region's step stream, so two regions
-            # that share serially share identically under sharding.
-            mon = self.monitor
-            detector.set_library_key(
-                trace_content_key(steps),
-                type(getattr(mon, "mechanism", mon)).__name__
-                if mon is not None
-                else None,
-                self.machine.page_table.epoch,
-            )
 
         # Page events are *not* cacheable: the protected/unbound counters
         # are live machine state that drains as iterations bind pages, so
@@ -514,7 +478,7 @@ class ShardEngine(ExecutionEngine):
             "phase": None,
         }
         detector = self._shard_detector
-        if detector is not None and self._iter_observe:
+        if detector is not None:
             sig = self._phase_sig or []
             self._phase_oh_rec, oh_ops = None, self._phase_oh_rec
             self._phase_sig = None
@@ -590,75 +554,31 @@ class ShardEngine(ExecutionEngine):
         return payload
 
     def extrapolate_iterations(
-        self, region_idx: int, n_skip: int, release: bool,
-        mode: str, period: int,
+        self, region_idx: int, n_skip: int, release: bool, mode: str,
     ) -> dict:
         """Extrapolation round: apply ``n_skip`` iterations shard-locally.
 
-        The parent has verified every shard is ready at ``period`` (the
-        smallest period every shard agrees on, exact preferred) and
-        clamped the skip to the next scheduled boundary; this shard
-        replays its recorded per-slot effects — monitor programs,
-        overhead adds, cycle cache advance — without simulating. The
+        The parent has verified every shard is ready in ``mode`` (exact
+        preferred) and clamped the skip to the next scheduled boundary;
+        this shard replays its last live iteration's effects — monitor
+        program, overhead adds, cache advance — without simulating. The
         parent folds the merged cycle/integer quantities itself.
         """
         detector = self._shard_detector
-        detector.note_armed(
-            (mode, period, detector.arming_provenance(mode, period))
+        rec = detector.last_rec
+        eps = self._phase_replay(
+            detector, mode, n_skip, self._overhead_by_tid
         )
-        slots = detector.cycle_slots(period)
-        recs = [e.rec for e in slots]
-        counts = slot_counts(n_skip, period)
-        eps = 0.0
-        if mode == "exact":
-            for t_i in range(n_skip):
-                rec = recs[t_i % period]
-                for tid, oh in rec.oh_ops:
-                    self._overhead_by_tid[tid] += oh
-            if self.monitor is not None:
-                if period == 1:
-                    self.monitor.phase_replay(recs[0].monitor_prog, n_skip)
-                else:
-                    for t_i in range(n_skip):
-                        self.monitor.phase_replay(
-                            recs[t_i % period].monitor_prog, 1
-                        )
-        else:
-            windows = detector.slot_windows(period)
-            for j, w in enumerate(windows):
-                if not counts[j] or not w:
-                    continue
-                oh_mean = w[0].oh_delta.copy()
-                for s in w[1:]:
-                    oh_mean += s.oh_delta
-                oh_mean /= len(w)
-                self._overhead_by_tid += oh_mean * counts[j]
-            eps = detector.eps_value(period)
-            if self.monitor is not None:
-                for j, w in enumerate(windows):
-                    if not counts[j] or not w:
-                        continue
-                    eps = max(eps, self.monitor.extrapolate_flush(
-                        [s.monitor_delta for s in w], counts[j]
-                    ))
-        if recs[0].cache_delta is not None:
-            self.machine.cache.phase_advance_cycle(
-                [r.cache_delta for r in recs], n_skip
-            )
         if release and self.memo is not None:
             self.memo.release_region(region_idx)
         tr = obs.TRACER
         mx = getattr(tr, "metrics", None) if tr.enabled else None
         if mx is not None:
-            for j, cnt in enumerate(counts):
-                if not cnt:
-                    continue
-                rec = recs[j]
-                self._mx_instructions += rec.ints["instructions"] * cnt
-                self._mx_accesses += rec.ints["accesses"] * cnt
-                self._mx_chunks += rec.ints["chunks"] * cnt
-                self._mx_dram += rec.ints["dram"] * cnt
-                self._mx_remote += rec.ints["remote_dram"] * cnt
+            self._mx_instructions += rec.ints["instructions"] * n_skip
+            self._mx_accesses += rec.ints["accesses"] * n_skip
+            self._mx_chunks += rec.ints["chunks"] * n_skip
+            self._mx_dram += rec.ints["dram"] * n_skip
+            self._mx_remote += rec.ints["remote_dram"] * n_skip
             self._mx_skipped += n_skip
             mx.sample(
                 tr,
@@ -756,8 +676,7 @@ def _init_worker(claim_queue, barrier, spec) -> None:
     (
         machine_factory, program_factory, n_threads, binding,
         monitor_factory, params, seed, n_shards, memoize, memo_bytes,
-        schedule, extrapolate, extrap_warmup, extrap_period,
-        extrap_disarm, extrap_share, use_shm, shm_token,
+        schedule, extrapolate, extrap_warmup, use_shm, shm_token,
     ) = spec
     monitor = monitor_factory() if monitor_factory is not None else None
     engine = ShardEngine(
@@ -775,9 +694,6 @@ def _init_worker(claim_queue, barrier, spec) -> None:
         schedule=schedule,
         extrapolate=extrapolate,
         extrap_warmup=extrap_warmup,
-        extrap_period=extrap_period,
-        extrap_disarm=extrap_disarm,
-        extrap_share=extrap_share,
     )
     arena = reader = None
     if use_shm:

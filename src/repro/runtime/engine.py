@@ -43,17 +43,12 @@ from repro.runtime.memo import (
     _nbytes,
 )
 from repro.runtime.phase import (
-    DEFAULT_DISARM_AFTER,
-    DEFAULT_MAX_PERIOD,
     IterationRecording,
     PhaseDetector,
-    PhaseLibrary,
     PhaseReport,
     mean_cycles,
     next_schedule_boundary,
     sig_digest,
-    slot_counts,
-    trace_content_key,
 )
 from repro.runtime.program import Program, ProgramContext, Region, RegionKind
 from repro.runtime.thread import BindingPolicy, SimThread, bind_threads
@@ -508,9 +503,6 @@ class ExecutionEngine:
         schedule=None,
         extrapolate: bool = False,
         extrap_warmup: int = 2,
-        extrap_period: int = DEFAULT_MAX_PERIOD,
-        extrap_disarm: int = DEFAULT_DISARM_AFTER,
-        extrap_share: bool = True,
     ) -> None:
         self.machine = machine
         self.program = program
@@ -537,18 +529,6 @@ class ExecutionEngine:
         #: otherwise. ``phase_report`` (a dict) is attached after the run.
         self.extrapolate = bool(extrapolate) and memoize
         self.extrap_warmup = max(1, int(extrap_warmup))
-        #: Longest phase cycle searched for (period-p detection).
-        self.extrap_period = max(1, int(extrap_period))
-        #: Non-converging windows before a detector disarms (0 = never).
-        self.extrap_disarm = max(0, int(extrap_disarm))
-        #: Cross-region phase sharing: converged cycles land in a
-        #: run-scoped library keyed by trace content so identical
-        #: regions skip their warmup (see ``repro.runtime.phase``).
-        self.phase_library = (
-            PhaseLibrary()
-            if self.extrapolate and bool(extrap_share)
-            else None
-        )
         self.phase_report: dict | None = None
         #: Per-iteration recording hooks (active only while a detector
         #: is live): overhead (tid, cycles) pairs and memo variant keys.
@@ -638,100 +618,86 @@ class ExecutionEngine:
                     tr.end()
         return True
 
+    def _phase_replay(self, detector, mode, n_skip, overhead_by_tid) -> float:
+        """Replay ``n_skip`` skipped iterations' thread-local effects.
+
+        Every skipped iteration replays the last live iteration: exact
+        mode re-applies its overhead adds and monitor accumulation
+        program ``n_skip`` times — the same float adds in the same order
+        simulating would perform; ε mode scales the window-mean overhead
+        and monitor deltas. The cache's reuse-distance state is
+        fast-forwarded so later regions classify bit-identically to the
+        exact run. Shared by the serial engine and each shard; returns
+        the ε this skip declares (0 in exact mode).
+        """
+        rec = detector.last_rec
+        eps = 0.0
+        if mode == "exact":
+            for _ in range(n_skip):
+                for tid, oh in rec.oh_ops:
+                    overhead_by_tid[tid] += oh
+            if self.monitor is not None:
+                self.monitor.phase_replay(rec.monitor_prog, n_skip)
+        else:
+            w = detector.eps_window
+            oh_mean = w[0].oh_delta.copy()
+            for s in w[1:]:
+                oh_mean += s.oh_delta
+            oh_mean /= len(w)
+            overhead_by_tid += oh_mean * n_skip
+            eps = detector.eps_value()
+            if self.monitor is not None:
+                eps = max(eps, self.monitor.extrapolate_flush(
+                    [s.monitor_delta for s in w], n_skip
+                ))
+        if rec.cache_delta is not None:
+            self.machine.cache.phase_advance(rec.cache_delta, n_skip)
+        return eps
+
     def _phase_extrapolate(
-        self, detector, planned, region, active, n_skip, busy,
+        self, detector, mode, region, active, n_skip, busy,
         overhead_by_tid, domain_requests, domain_traffic, wall,
         region_wall, tr,
     ):
         """Apply ``n_skip`` iterations' deltas without simulating them.
 
-        Skipped iteration ``t`` replays cycle slot ``t % period``.
-        Exact mode folds the recorded slot recordings per iteration in
-        slot order — the same float adds in the same order the live
-        loop would perform — so the result is bit-identical to
-        simulating (ε = 0). ε mode (engine periodic, sampling jittered)
-        folds each slot's window-mean cycle and overhead deltas scaled
-        by that slot's skip count and has the monitor scale its
-        per-slot window-mean accumulator deltas; engine-pure integers
-        multiply exactly per slot in both modes. Returns
-        ``(wall, int_deltas, mode, eps)``.
+        Exact mode folds the last live iteration's recorded cycles once
+        per skipped iteration, so the result is bit-identical to
+        simulating (ε = 0). ε mode (engine fixed, sampling jittered)
+        folds the window-mean cycles scaled by ``n_skip``. Engine-pure
+        integers multiply exactly in both modes; thread-local effects go
+        through :meth:`_phase_replay`. Returns ``(wall, int_deltas,
+        eps)``.
         """
         name = region.name
-        mode, period, _ = planned
-        slots = detector.cycle_slots(period)
-        recs = [e.rec for e in slots]
-        counts = slot_counts(n_skip, period)
+        rec = detector.last_rec
         if tr.enabled:
             tr.begin(
                 "engine.phase.extrapolate", "engine",
-                region=name, iterations=n_skip, mode=mode, period=period,
+                region=name, iterations=n_skip, mode=mode,
             )
-        eps = 0.0
         if mode == "exact":
-            for t_i in range(n_skip):
-                rec = recs[t_i % period]
+            for _ in range(n_skip):
                 for t in active:
                     busy[t.tid] += rec.region_cycles[t.tid]
                 wall += rec.elapsed
                 region_wall[name] = region_wall.get(name, 0.0) + rec.elapsed
-                for tid, oh in rec.oh_ops:
-                    overhead_by_tid[tid] += oh
-            if self.monitor is not None:
-                if period == 1:
-                    self.monitor.phase_replay(recs[0].monitor_prog, n_skip)
-                else:
-                    # Interleave per-iteration in slot order: replay
-                    # loops the identical numpy ops, so this is the
-                    # exact float-add order of simulating the cycle.
-                    for t_i in range(n_skip):
-                        self.monitor.phase_replay(
-                            recs[t_i % period].monitor_prog, 1
-                        )
         else:
-            windows = detector.slot_windows(period)
-            for j, w in enumerate(windows):
-                cnt = counts[j]
-                if not cnt or not w:
-                    continue
-                rc_mean, elapsed_mean = mean_cycles(w)
-                for t in active:
-                    busy[t.tid] += rc_mean[t.tid] * cnt
-                wall += elapsed_mean * cnt
-                region_wall[name] = (
-                    region_wall.get(name, 0.0) + elapsed_mean * cnt
-                )
-                oh_mean = w[0].oh_delta.copy()
-                for s in w[1:]:
-                    oh_mean += s.oh_delta
-                oh_mean /= len(w)
-                overhead_by_tid += oh_mean * cnt
-            eps = detector.eps_value(period)
-            if self.monitor is not None:
-                for j, w in enumerate(windows):
-                    if not counts[j] or not w:
-                        continue
-                    eps = max(eps, self.monitor.extrapolate_flush(
-                        [s.monitor_delta for s in w], counts[j]
-                    ))
-        ints = {k: 0 for k in recs[0].ints}
-        for j, cnt in enumerate(counts):
-            if not cnt:
-                continue
-            rec = recs[j]
-            domain_requests += rec.requests * cnt
-            domain_traffic += rec.traffic * cnt
-            for k, v in rec.ints.items():
-                ints[k] += v * cnt
-        if recs[0].cache_delta is not None:
-            # Fast-forward the reuse-distance state so regions after
-            # this one classify bit-identically to the exact run.
-            self.machine.cache.phase_advance_cycle(
-                [r.cache_delta for r in recs], n_skip
+            rc_mean, elapsed_mean = mean_cycles(detector.eps_window)
+            for t in active:
+                busy[t.tid] += rc_mean[t.tid] * n_skip
+            wall += elapsed_mean * n_skip
+            region_wall[name] = (
+                region_wall.get(name, 0.0) + elapsed_mean * n_skip
             )
+        eps = self._phase_replay(detector, mode, n_skip, overhead_by_tid)
+        domain_requests += rec.requests * n_skip
+        domain_traffic += rec.traffic * n_skip
+        ints = {k: v * n_skip for k, v in rec.ints.items()}
         if tr.enabled:
             tr.count("engine.phase.extrapolated_iterations", n_skip)
             tr.end()
-        return wall, ints, mode, eps
+        return wall, ints, eps
 
     def _run(self, tr) -> RunResult:
         if self.monitor is not None:
@@ -803,27 +769,12 @@ class ExecutionEngine:
             if (
                 self.extrapolate
                 and use_memo
-                # With the library, a region whose trace matches an
-                # already-converged phase can arm after a single live
-                # iteration, so any repeated region is worth watching.
-                # A repeat-1 region can neither skip nor converge, so
-                # it never pays for observation.
-                and region.repeat > 1
-                and (
-                    region.repeat > self.extrap_warmup
-                    or self.phase_library is not None
-                )
+                # A region that cannot finish its warmup before it ends
+                # can never skip, so it never pays for observation.
+                and region.repeat > self.extrap_warmup
                 and (self.monitor is None or self.monitor.phase_supported())
             ):
-                detector = PhaseDetector(
-                    region.name,
-                    warmup=self.extrap_warmup,
-                    max_period=self.extrap_period,
-                    allow_eps=self.monitor is not None,
-                    monitor_present=self.monitor is not None,
-                    disarm_after=self.extrap_disarm,
-                    library=self.phase_library,
-                )
+                detector = PhaseDetector(warmup=self.extrap_warmup)
             n_exact = n_eps = 0
             eps_max = 0.0
             iteration = 0
@@ -836,29 +787,18 @@ class ExecutionEngine:
                     fired = self._apply_schedule(region_idx, region, iteration)
                     if fired and detector is not None:
                         detector.invalidate()
-                observe = detector is not None and detector.begin_iteration(
-                    self.machine.page_table.epoch
-                )
-                planned = detector.plan() if observe else None
-                if planned is not None:
+                mode = None
+                if detector is not None:
+                    detector.begin_iteration(self.machine.page_table.epoch)
+                    mode = detector.plan()
+                if mode is not None:
                     stop = next_schedule_boundary(
                         self.schedule, region_idx, iteration, region.repeat
                     )
                     n_skip = stop - iteration
-                    if planned[0] == "exact" and planned[1] > 1 \
-                            and self.monitor is not None:
-                        # The monitor's selection state cycles with the
-                        # phase; replay only advances its accumulators.
-                        # Skipping whole cycles lands that state back on
-                        # the live baseline; a partial cycle would
-                        # resume the monitor mid-cycle and diverge, so
-                        # the remainder iterations run live instead.
-                        n_skip -= n_skip % planned[1]
-                        stop = iteration + n_skip
                     if n_skip > 0:
-                        detector.note_armed(planned)
-                        wall, ints, mode, eps = self._phase_extrapolate(
-                            detector, planned, region, active, n_skip, busy,
+                        wall, ints, eps = self._phase_extrapolate(
+                            detector, mode, region, active, n_skip, busy,
                             overhead_by_tid, domain_requests, domain_traffic,
                             wall, region_wall, tr,
                         )
@@ -887,15 +827,14 @@ class ExecutionEngine:
                 mon_snap = None
                 oh_base = None
                 cache_snap = None
-                if observe:
+                if detector is not None:
                     self._phase_oh_rec = oh_ops
                     self._phase_sig = sig = []
                     cache_snap = self.machine.cache.phase_snapshot()
                     if self.monitor is not None:
                         self.monitor.phase_record_begin()
-                        if detector.allow_eps:
-                            mon_snap = self.monitor.phase_snapshot()
-                            oh_base = overhead_by_tid.copy()
+                        mon_snap = self.monitor.phase_snapshot()
+                        oh_base = overhead_by_tid.copy()
                 if traced:
                     iter_t0 = tr.now_ns()
                     tr.begin(
@@ -919,20 +858,6 @@ class ExecutionEngine:
                         # loop below) and cache the trace for replay.
                         steps = self._draw_steps(active, iters)
                         memo.gen_store(region_idx, steps, steps_nbytes(steps))
-                if (
-                    observe
-                    and iteration == 0
-                    and steps is not None
-                    and self.phase_library is not None
-                ):
-                    mon = self.monitor
-                    detector.set_library_key(
-                        trace_content_key(steps),
-                        type(getattr(mon, "mechanism", mon)).__name__
-                        if mon is not None
-                        else None,
-                        self.machine.page_table.epoch,
-                    )
 
                 region_cycles = {t.tid: 0.0 for t in active}
                 # Per-iteration integer deltas (folded into the run
@@ -1027,7 +952,7 @@ class ExecutionEngine:
                 domain_requests += it_requests
                 domain_traffic += it_traffic
 
-                if observe:
+                if detector is not None:
                     self._phase_oh_rec = None
                     self._phase_sig = None
                     mon_digest = ()
@@ -1068,7 +993,7 @@ class ExecutionEngine:
                         if oh_base is not None else None,
                         mon_delta,
                     )
-                    if traced and detector.is_steady:
+                    if traced and detector.streak:
                         tr.count("engine.phase.steady_iterations")
                 if mx is not None:
                     flags = obs.FLAG_ITERATION
@@ -1097,11 +1022,6 @@ class ExecutionEngine:
                 stats_r.simulated += region.repeat - n_exact - n_eps
                 if detector is not None:
                     stats_r.breaks += detector.breaks
-                    stats_r.period = max(
-                        stats_r.period, detector.period_detected
-                    )
-                    stats_r.disarms += detector.disarms
-                    stats_r.library_hits += detector.library_hits
                 stats_r.epsilon = max(stats_r.epsilon, eps_max)
                 if traced and detector is not None and detector.breaks:
                     tr.count("engine.phase.breaks", detector.breaks)

@@ -5,9 +5,11 @@ The profiler turns one step's concatenated samples into one metric row
 per sampled chunk (:func:`~repro.profiler.profiler.sample_metric_rows`),
 with latency sums from :func:`~repro.profiler.accum.segment_sums`. Both
 must equal what per-chunk ``count_nonzero`` / ``bincount`` /
-``ndarray.sum`` calls produce, compared with ``==``. The whole-run test
-checks invariants no parity suite can: sample counts and latencies are
-conserved from the mechanism down to variables and bins.
+``ndarray.sum`` calls produce, compared with ``==``. The whole-run tests
+check invariants no parity suite can: sample counts and latencies are
+conserved from the mechanism down to variables and bins, and the
+engine's DRAM accounting is conserved across its totals, per-domain
+requests and traffic matrix, with phase extrapolation on and off.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.profiler.accum import PAIRWISE_BLOCK, segment_sums
 from repro.profiler.metrics import MetricNames
 from repro.profiler.profiler import sample_metric_rows
 from repro.runtime import ExecutionEngine
+from repro.runtime.phase import validate_phase_report
 from repro.sampling import IBS, MRK, PEBS
 from repro.workloads import CentralHotspot, PartitionedSweep
 
@@ -176,3 +179,56 @@ def test_whole_run_sample_conservation(
             ) * (1 + 1e-12)
     assert var_samples == mechanism.total_samples
     assert thread_samples == mechanism.total_samples
+
+
+#: Engine-pure integer totals: extrapolation multiplies them exactly.
+INT_FIELDS = (
+    "total_instructions", "total_accesses", "total_chunks",
+    "dram_accesses", "remote_dram_accesses",
+)
+
+
+def engine_run(workload, n_elems, steps, mech, period, n_threads, domains,
+               *, extrapolate):
+    machine = presets.generic(n_domains=domains, cores_per_domain=4)
+    engine = ExecutionEngine(
+        machine, WORKLOADS[workload](n_elems, steps), n_threads,
+        monitor=NumaProfiler(MECHANISMS[mech](period)),
+        extrapolate=extrapolate,
+    )
+    return engine.run(), engine
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    workload=st.sampled_from(sorted(WORKLOADS)),
+    n_elems=st.integers(2_000, 40_000),
+    # At least warmup + 1 iterations, so extrapolation can arm.
+    steps=st.integers(3, 8),
+    mech=st.sampled_from(sorted(MECHANISMS)),
+    period=st.one_of(st.integers(1, 64), st.integers(1, 4096)),
+    n_threads=st.integers(1, 8),
+    domains=st.sampled_from([2, 4]),
+)
+def test_whole_run_engine_conservation(
+    workload, n_elems, steps, mech, period, n_threads, domains
+):
+    args = (workload, n_elems, steps, mech, period, n_threads, domains)
+    live, _ = engine_run(*args, extrapolate=False)
+    extrap, engine = engine_run(*args, extrapolate=True)
+    assert validate_phase_report(engine.phase_report) == []
+    for r in (live, extrap):
+        assert 0 <= r.remote_dram_accesses <= r.dram_accesses
+        assert r.dram_accesses <= r.total_accesses
+        traffic = r.domain_traffic
+        # Rows are accessor domains, columns target domains: every DRAM
+        # access lands in exactly one cell, off the diagonal iff remote.
+        assert traffic.sum() == r.dram_accesses
+        assert np.array_equal(traffic.sum(axis=0), r.domain_dram_requests)
+        assert traffic.sum() - np.trace(traffic) == r.remote_dram_accesses
+    # Skipped iterations are reconstructed, never approximated, for the
+    # engine-pure integers — in exact and in ε mode alike.
+    for name in INT_FIELDS:
+        assert getattr(extrap, name) == getattr(live, name), name
+    assert np.array_equal(extrap.domain_dram_requests, live.domain_dram_requests)
+    assert np.array_equal(extrap.domain_traffic, live.domain_traffic)

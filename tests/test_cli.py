@@ -111,14 +111,15 @@ class TestErrors:
             (["bench-perf", "--threshold", "inf"], "--threshold"),
             (["bench-perf", "--threshold", "-1"], "--threshold"),
             (["bench-perf", "--threshold", "1"], "--threshold"),
+            (["bench-perf", "--mechanism", "FOO"], "--mechanism"),
         ],
     )
     def test_bad_subcommand_value_is_one_clean_line(
         self, capsys, tmp_path, argv, flag
     ):
         """Subcommands reject non-finite and out-of-range --scale and
-        --threshold values before running anything or writing a
-        reference file."""
+        --threshold values and unknown --mechanism names before running
+        anything or writing a reference file."""
         out = tmp_path / "bench.json"
         if argv[0] == "bench-perf":
             argv = argv + ["--output", str(out)]
@@ -130,8 +131,9 @@ class TestErrors:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
-    def test_bad_extrap_warmup_is_one_clean_line(self, capsys):
-        rc = main(["sweep", "--extrapolate", "--extrap-warmup", "0"])
+    @pytest.mark.parametrize("bad", ["0", "100000000000000000000"])
+    def test_bad_extrap_warmup_is_one_clean_line(self, capsys, bad):
+        rc = main(["sweep", "--extrapolate", "--extrap-warmup", bad])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: --extrap-warmup")

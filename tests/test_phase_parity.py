@@ -15,7 +15,14 @@ iterations by closed-form multiplication. The contract has two tiers:
   engine-pure integers (instructions, accesses, chunks, DRAM request
   and traffic vectors) are still exact; cycle-valued outputs deviate
   within the declared ε, and the phase report must validate.
+
+The file also covers the detector's defenses and the machinery under
+the contract: a digest collision with differing deltas never arms, an
+epoch change resets the streaks, ``union_plan`` needs every shard, and
+``CacheHierarchy.phase_advance`` equals continued simulation.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -23,11 +30,17 @@ import pytest
 from repro.__main__ import _builders
 from repro.analysis.merge import merge_profiles
 from repro.machine import presets
+from repro.machine.cache import CacheConfig, CacheHierarchy
 from repro.machine.pagetable import PlacementPolicy
 from repro.parallel import ParallelEngine, sharding_supported
 from repro.profiler import NumaProfiler
 from repro.runtime import ExecutionEngine
-from repro.runtime.phase import validate_phase_report
+from repro.runtime.phase import (
+    IterationRecording,
+    PhaseDetector,
+    union_plan,
+    validate_phase_report,
+)
 from repro.runtime.thread import BindingPolicy
 from repro.sampling import create_mechanism
 
@@ -318,3 +331,153 @@ def test_extrapolation_off_attaches_no_report():
         "blackscholes", extrapolate=False, profiler=_dear_factory()
     )
     assert engine.phase_report is None
+
+
+def test_cycling_monitor_degrades_to_eps():
+    """DEAR with a period that does not divide the per-iteration access
+    count cycles its carried selection state with period 2, so the
+    monitor digest never reaches a fixed point while the engine-pure
+    digests do. The detector must fall back to ε accounting (pure
+    integers exact, cycles within the declared ε), never silently
+    diverge."""
+    def run(extrapolate):
+        build = _builders(SCALE)["blackscholes"]
+        engine = ExecutionEngine(
+            _machine_factory(), build(), THREADS,
+            monitor=NumaProfiler(create_mechanism("DEAR", 4), memoize=True),
+            binding=BindingPolicy.COMPACT,
+            memoize=True, extrapolate=extrapolate, extrap_warmup=6,
+        )
+        return engine.run(), engine
+
+    ref_result, _ = run(False)
+    result, engine = run(True)
+    for f in INT_FIELDS:
+        assert getattr(ref_result, f) == getattr(result, f), f
+    assert np.array_equal(
+        ref_result.domain_dram_requests, result.domain_dram_requests
+    )
+    assert np.array_equal(ref_result.domain_traffic, result.domain_traffic)
+    report = engine.phase_report
+    _assert_report_engaged(report)
+    assert report["extrapolated_eps"] > 0
+    assert report["extrapolated_exact"] == 0
+    rel = abs(result.wall_cycles - ref_result.wall_cycles)
+    rel /= ref_result.wall_cycles
+    assert rel <= max(10.0 * report["epsilon"], 1e-6)
+
+
+# ---------------------------------------------------------------------- #
+# detector unit checks: collision defense, epoch reset
+# ---------------------------------------------------------------------- #
+
+
+def _rec(value: int, cycles: float = 100.0) -> IterationRecording:
+    return IterationRecording(
+        ints={"instructions": value},
+        requests=np.array([value, 0]),
+        traffic=np.array([8 * value, 0]),
+        region_cycles={0: cycles},
+        elapsed=cycles,
+        oh_ops=[],
+        cache_delta=({0: 64 * value}, [(0, 1, 0)]),
+    )
+
+
+def test_digest_collision_differing_deltas_never_arms():
+    det = PhaseDetector(warmup=2)
+    for i in range(12):
+        det.begin_iteration(0)
+        # Identical digest every iteration (a collision), but the pure
+        # integer deltas alternate: the defense comparison must break
+        # the streak every time.
+        det.end_live_iteration("COLLIDE", None, _rec(1 + i % 2), None, None)
+        assert det.plan() is None, f"armed on a collision at iteration {i}"
+
+
+def test_steady_deltas_arm():
+    """Control for the collision test: when the deltas really do
+    repeat, the same inputs arm exact extrapolation after warmup."""
+    det = PhaseDetector(warmup=3)
+    for _ in range(3):
+        assert det.plan() is None
+        det.begin_iteration(0)
+        det.end_live_iteration("STEADY", None, _rec(7), None, None)
+    assert det.plan() == "exact"
+    assert det.last_rec.ints == {"instructions": 7}
+
+
+def test_epoch_change_resets_streaks():
+    det = PhaseDetector(warmup=2)
+    for _ in range(3):
+        det.begin_iteration(0)
+        det.end_live_iteration("STEADY", None, _rec(7), None, None)
+    assert det.plan() == "exact" and det.breaks == 0
+    # A placement mutation bumps the epoch: every digest is stale, so
+    # the live streak counts as a break and matching starts over.
+    det.begin_iteration(1)
+    assert det.plan() is None and det.streak == 0 and det.breaks == 1
+    det.end_live_iteration("STEADY", None, _rec(7), None, None)
+    assert det.plan() is None
+    det.begin_iteration(1)
+    det.end_live_iteration("STEADY", None, _rec(7), None, None)
+    assert det.plan() == "exact"
+
+
+# ---------------------------------------------------------------------- #
+# union_plan: per-shard readiness → union plan
+# ---------------------------------------------------------------------- #
+
+
+def _payload(ready_exact, ready_eps, steady):
+    return {
+        "ready_exact": ready_exact, "ready_eps": ready_eps,
+        "steady": steady, "breaks": 0,
+    }
+
+
+def test_union_plan_prefers_exact():
+    shards = [_payload(True, True, 4), _payload(True, True, 3)]
+    assert union_plan(shards) == ("exact", 3)
+
+
+def test_union_plan_eps_fallback():
+    shards = [_payload(True, True, 4), _payload(False, True, 2)]
+    assert union_plan(shards) == ("eps", 2)
+
+
+def test_union_plan_requires_every_shard():
+    ready = _payload(True, True, 5)
+    assert union_plan([ready, None]) is None
+    assert union_plan([]) is None
+    assert union_plan([ready, _payload(False, False, 0)]) is None
+
+
+# ---------------------------------------------------------------------- #
+# cache fast-forward: phase_advance vs continued simulation
+# ---------------------------------------------------------------------- #
+
+
+def _cache_iteration(cache: CacheHierarchy) -> None:
+    """One steady iteration: two CPUs, keys shared and private."""
+    cache._fetch_level(0, 1, 0, 6_400)
+    cache._fetch_level(0, 3, 0, 8_192)
+    cache._fetch_level(1, 1, 0, 512)
+
+
+@pytest.mark.parametrize("n_skip", [1, 2, 4, 5, 7, 9])
+def test_phase_advance_matches_simulation(n_skip):
+    cache = CacheHierarchy(CacheConfig())
+    for _ in range(4):  # warm to a steady state
+        _cache_iteration(cache)
+    snap = cache.phase_snapshot()
+    _cache_iteration(cache)
+    delta = cache.phase_delta(snap)
+
+    simulated = copy.deepcopy(cache)
+    for _ in range(n_skip):
+        _cache_iteration(simulated)
+    cache.phase_advance(delta, n_skip)
+    assert cache._stream_pos == simulated._stream_pos
+    assert cache._last_visit == simulated._last_visit
+    assert cache.state_digest() == simulated.state_digest()
